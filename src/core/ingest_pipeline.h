@@ -205,6 +205,14 @@ class IngestPipeline {
   class ReadGuard {
    public:
     const BloomSampleTree& tree() const { return *tree_; }
+    /// The refcounted tree the guard keeps alive (null for a borrowed
+    /// forest shard). A guard holder that needs a handle must take this
+    /// one: tree_handle() takes the lane's shared lock again, and a writer
+    /// that queues between the two holds waits on the first while the
+    /// second waits on it.
+    const std::shared_ptr<const BloomSampleTree>& tree_ref() const {
+      return keepalive_;
+    }
     ReadGuard(ReadGuard&&) = default;
     ReadGuard& operator=(ReadGuard&&) = default;
 

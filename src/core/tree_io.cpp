@@ -328,18 +328,9 @@ class TreeSerializer {
       }
 
       BloomSampleTree::Node node(lo, hi, level, tree.family_, &tree.arena_);
-      BitVector& bits = node.filter.mutable_bits();
-      for (size_t w = 0; w < words.size(); ++w) {
-        uint64_t word = words[w];
-        while (word != 0) {
-          const int bit = __builtin_ctzll(word);
-          const size_t index = w * 64 + static_cast<size_t>(bit);
-          if (index >= bits.size()) {
-            return Status::InvalidArgument("node payload has stray bits");
-          }
-          bits.Set(index);
-          word &= word - 1;
-        }
+      if (!node.filter.mutable_bits().AssignWords(words.data(),
+                                                  words.size())) {
+        return Status::InvalidArgument("node payload has stray bits");
       }
       node.left = left;
       node.right = right;

@@ -48,6 +48,16 @@ Status ConnectWithTimeout(int fd, const sockaddr* addr, socklen_t len,
   return Status::OK();
 }
 
+/// A request frame holding only its header slot, with room reserved for a
+/// `payload_len`-byte payload: the codecs append the payload in place and
+/// CallOnce seals the header, so the payload is copied once.
+std::vector<uint8_t> NewFrame(size_t payload_len) {
+  std::vector<uint8_t> frame;
+  frame.reserve(kFrameHeaderBytes + payload_len);
+  frame.resize(kFrameHeaderBytes);
+  return frame;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<BsrClient>> BsrClient::Connect(std::string address,
@@ -158,8 +168,7 @@ Status BsrClient::RecvAll(uint8_t* data, size_t len) {
   return Status::OK();
 }
 
-Status BsrClient::CallOnce(Opcode opcode,
-                           const std::vector<uint8_t>& payload,
+Status BsrClient::CallOnce(Opcode opcode, std::vector<uint8_t>* frame,
                            std::vector<uint8_t>* response_payload,
                            WireStatus* wire_status,
                            uint32_t* retry_after_ms) {
@@ -172,10 +181,9 @@ Status BsrClient::CallOnce(Opcode opcode,
   h.opcode = opcode;
   h.request_id = next_request_id_++;
   h.budget_ms = options_.deadline_ms;
-  h.payload_len = static_cast<uint32_t>(payload.size());
-  std::vector<uint8_t> frame;
-  EncodeFrame(h, payload.data(), payload.size(), &frame);
-  st = SendAll(frame.data(), frame.size());
+  h.payload_len = static_cast<uint32_t>(frame->size() - kFrameHeaderBytes);
+  SealFrame(h, frame->data());
+  st = SendAll(frame->data(), frame->size());
   if (!st.ok()) {
     Close();  // transport state unknown; next attempt reconnects
     return st;
@@ -220,14 +228,14 @@ Status BsrClient::CallOnce(Opcode opcode,
                         std::string(resp.begin(), resp.end()));
 }
 
-Status BsrClient::Call(Opcode opcode, const std::vector<uint8_t>& payload,
+Status BsrClient::Call(Opcode opcode, std::vector<uint8_t>* frame,
                        std::vector<uint8_t>* response_payload) {
   std::chrono::milliseconds backoff = options_.backoff_base;
   Status last;
   for (uint32_t attempt = 0;; ++attempt) {
     WireStatus ws;
     uint32_t retry_after_ms;
-    last = CallOnce(opcode, payload, response_payload, &ws, &retry_after_ms);
+    last = CallOnce(opcode, frame, response_payload, &ws, &retry_after_ms);
     if (last.ok()) return last;
     if (attempt >= options_.max_retries) return last;
 
@@ -252,8 +260,8 @@ Status BsrClient::Call(Opcode opcode, const std::vector<uint8_t>& payload,
 }
 
 Status BsrClient::Ping() {
-  std::vector<uint8_t> resp;
-  return Call(Opcode::kPing, {}, &resp);
+  std::vector<uint8_t> frame = NewFrame(0), resp;
+  return Call(Opcode::kPing, &frame, &resp);
 }
 
 Result<std::vector<std::optional<uint64_t>>> BsrClient::Sample(
@@ -262,9 +270,9 @@ Result<std::vector<std::optional<uint64_t>>> BsrClient::Sample(
   req.count = count;
   req.seed = seed;
   req.filter = filter;
-  std::vector<uint8_t> payload, resp;
-  EncodeSampleRequest(req, &payload);
-  const Status st = Call(Opcode::kSample, payload, &resp);
+  std::vector<uint8_t> frame = NewFrame(12 + filter.size()), resp;
+  EncodeSampleRequest(req, &frame);
+  const Status st = Call(Opcode::kSample, &frame, &resp);
   if (!st.ok()) return st;
   std::vector<std::optional<uint64_t>> draws;
   const Status dec = DecodeDraws(resp.data(), resp.size(), &draws);
@@ -277,9 +285,9 @@ Result<std::vector<uint64_t>> BsrClient::Reconstruct(
   ReconstructRequest req;
   req.exact = exact;
   req.filter = filter;
-  std::vector<uint8_t> payload, resp;
-  EncodeReconstructRequest(req, &payload);
-  const Status st = Call(Opcode::kReconstruct, payload, &resp);
+  std::vector<uint8_t> frame = NewFrame(4 + filter.size()), resp;
+  EncodeReconstructRequest(req, &frame);
+  const Status st = Call(Opcode::kReconstruct, &frame, &resp);
   if (!st.ok()) return st;
   std::vector<uint64_t> ids;
   const Status dec = DecodeIdList(resp.data(), resp.size(), &ids);
@@ -288,20 +296,20 @@ Result<std::vector<uint64_t>> BsrClient::Reconstruct(
 }
 
 Status BsrClient::Insert(const std::vector<uint64_t>& ids) {
-  std::vector<uint8_t> payload, resp;
-  EncodeIdList(ids, &payload);
-  return Call(Opcode::kInsert, payload, &resp);
+  std::vector<uint8_t> frame = NewFrame(4 + 8 * ids.size()), resp;
+  EncodeIdList(ids, &frame);
+  return Call(Opcode::kInsert, &frame, &resp);
 }
 
 Status BsrClient::Remove(const std::vector<uint64_t>& ids) {
-  std::vector<uint8_t> payload, resp;
-  EncodeIdList(ids, &payload);
-  return Call(Opcode::kRemove, payload, &resp);
+  std::vector<uint8_t> frame = NewFrame(4 + 8 * ids.size()), resp;
+  EncodeIdList(ids, &frame);
+  return Call(Opcode::kRemove, &frame, &resp);
 }
 
 Result<std::string> BsrClient::Stats() {
-  std::vector<uint8_t> resp;
-  const Status st = Call(Opcode::kStats, {}, &resp);
+  std::vector<uint8_t> frame = NewFrame(0), resp;
+  const Status st = Call(Opcode::kStats, &frame, &resp);
   if (!st.ok()) return st;
   return std::string(resp.begin(), resp.end());
 }

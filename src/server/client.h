@@ -74,12 +74,14 @@ class BsrClient {
  private:
   BsrClient(std::string address, ClientOptions options);
 
-  /// One full op with the retry policy applied. `response_payload` gets
-  /// the payload of an OK response.
-  Status Call(Opcode opcode, const std::vector<uint8_t>& payload,
+  /// One full op with the retry policy applied. `frame` is a header slot
+  /// followed by the request payload; each attempt seals the header in
+  /// place with a fresh request id. `response_payload` gets the payload
+  /// of an OK response.
+  Status Call(Opcode opcode, std::vector<uint8_t>* frame,
               std::vector<uint8_t>* response_payload);
   /// One attempt on the current connection (reconnecting if needed).
-  Status CallOnce(Opcode opcode, const std::vector<uint8_t>& payload,
+  Status CallOnce(Opcode opcode, std::vector<uint8_t>* frame,
                   std::vector<uint8_t>* response_payload,
                   WireStatus* wire_status, uint32_t* retry_after_ms);
   Status EnsureConnected();

@@ -124,18 +124,24 @@ void EncodeFrame(const FrameHeader& header, const uint8_t* payload,
             "frame payload length mismatch");
   const size_t base = out->size();
   out->reserve(base + kFrameHeaderBytes + payload_len);
-  PutU32(kFrameMagic, out);
-  out->push_back(header.version);
-  out->push_back(static_cast<uint8_t>(header.opcode));
-  out->push_back(static_cast<uint8_t>(header.status));
-  out->push_back(0);  // reserved
-  PutU64(header.request_id, out);
-  PutU32(header.budget_ms, out);
-  PutU32(header.payload_len, out);
-  const uint64_t digest =
-      FrameDigest(out->data() + base, payload, payload_len);
-  PutU64(digest, out);
+  out->resize(base + kFrameHeaderBytes);
   if (payload_len > 0) out->insert(out->end(), payload, payload + payload_len);
+  SealFrame(header, out->data() + base);
+}
+
+void SealFrame(const FrameHeader& header, uint8_t* frame) {
+  const uint32_t magic = kFrameMagic;
+  std::memcpy(frame, &magic, 4);
+  frame[4] = header.version;
+  frame[5] = static_cast<uint8_t>(header.opcode);
+  frame[6] = static_cast<uint8_t>(header.status);
+  frame[7] = 0;  // reserved
+  std::memcpy(frame + 8, &header.request_id, 8);
+  std::memcpy(frame + 16, &header.budget_ms, 4);
+  std::memcpy(frame + 20, &header.payload_len, 4);
+  const uint64_t digest =
+      FrameDigest(frame, frame + kFrameHeaderBytes, header.payload_len);
+  std::memcpy(frame + 24, &digest, 8);
 }
 
 Status DecodeHeader(const uint8_t* data, size_t len, uint32_t max_payload,
@@ -180,7 +186,7 @@ Status DecodeSampleRequest(const uint8_t* data, size_t len,
   if (len < 12) return Status::InvalidArgument("short SAMPLE payload");
   out->count = GetU32(data);
   out->seed = GetU64(data + 4);
-  out->filter.assign(data + 12, data + len);
+  out->filter = ByteView(data + 12, len - 12);
   return Status::OK();
 }
 
@@ -194,7 +200,7 @@ Status DecodeReconstructRequest(const uint8_t* data, size_t len,
                                 ReconstructRequest* out) {
   if (len < 4) return Status::InvalidArgument("short RECONSTRUCT payload");
   out->exact = GetU32(data) != 0;
-  out->filter.assign(data + 4, data + len);
+  out->filter = ByteView(data + 4, len - 4);
   return Status::OK();
 }
 

@@ -101,6 +101,11 @@ struct FrameHeader {
 void EncodeFrame(const FrameHeader& header, const uint8_t* payload,
                  size_t payload_len, std::vector<uint8_t>* out);
 
+/// Writes the header, digest included, into the first kFrameHeaderBytes
+/// of `frame`, whose header.payload_len payload bytes already follow
+/// them: a frame built in place is sealed without copying its payload.
+void SealFrame(const FrameHeader& header, uint8_t* frame);
+
 /// What DecodeHeader found in the first kFrameHeaderBytes of a stream.
 struct DecodedHeader {
   FrameHeader header;
@@ -139,15 +144,44 @@ uint64_t FrameDigest(const uint8_t* header_bytes, const uint8_t* payload,
 //   errors       UTF-8 message
 inline constexpr uint64_t kNullDraw = ~0ull;
 
+/// Read-only bytes owned elsewhere: a request frame's payload in the
+/// server, the caller's filter in the client. Converts from a vector
+/// lvalue (never from a temporary, which would leave it dangling).
+class ByteView {
+ public:
+  ByteView() = default;
+  ByteView(const uint8_t* data, size_t size) : data_(data), size_(size) {}
+  ByteView(const std::vector<uint8_t>& bytes)  // NOLINT: implicit by design
+      : data_(bytes.data()), size_(bytes.size()) {}
+  ByteView(std::vector<uint8_t>&&) = delete;
+
+  const uint8_t* data() const { return data_; }
+  size_t size() const { return size_; }
+  const uint8_t* begin() const { return data_; }
+  const uint8_t* end() const { return data_ + size_; }
+
+ private:
+  const uint8_t* data_ = nullptr;
+  size_t size_ = 0;
+};
+
+/// Byte-wise equality of the viewed contents.
+inline bool operator==(ByteView a, ByteView b) {
+  return a.size() == b.size() &&
+         (a.size() == 0 || std::memcmp(a.data(), b.data(), a.size()) == 0);
+}
+
+/// Decoded requests view the filter in the payload they were decoded
+/// from, which must outlive them.
 struct SampleRequest {
   uint32_t count = 0;
   uint64_t seed = 0;
-  std::vector<uint8_t> filter;  ///< SerializeBloomFilter bytes
+  ByteView filter;  ///< SerializeBloomFilter bytes
 };
 
 struct ReconstructRequest {
   bool exact = false;
-  std::vector<uint8_t> filter;
+  ByteView filter;
 };
 
 void EncodeSampleRequest(const SampleRequest& req, std::vector<uint8_t>* out);

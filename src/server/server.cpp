@@ -56,8 +56,20 @@ void SetNonBlocking(int fd) {
 /// atomics — a worker never closes an fd, it marks the conn and wakes
 /// the loop.
 struct BsrServer::Conn {
+  /// Headers and small frames arrive here; a frame's payload bytes beyond
+  /// what one staging read caught go straight into the frame's buffer.
+  static constexpr size_t kStagingBytes = 16 * 1024;
+
   int fd = -1;
-  std::vector<uint8_t> inbuf;
+  uint8_t staging[kStagingBytes] = {};
+  size_t staged = 0;
+  /// The frame being received: its header (kept for the digest), and its
+  /// payload buffer, which becomes the Request's.
+  uint8_t frame_header[kFrameHeaderBytes] = {};
+  DecodedHeader pending;
+  std::unique_ptr<uint8_t[]> payload;
+  size_t payload_got = 0;
+  bool assembling = false;  ///< header parsed, payload still arriving
   Clock::time_point last_activity;
   /// When the current PARTIAL frame started dribbling in (slow-loris
   /// clock); meaningful while mid_frame.
@@ -83,7 +95,8 @@ struct BsrServer::Conn {
 struct BsrServer::Request {
   std::shared_ptr<Conn> conn;
   FrameHeader header;
-  std::vector<uint8_t> payload;
+  /// header.payload_len bytes as received; the decoded filters view them.
+  std::unique_ptr<uint8_t[]> payload;
   Clock::time_point arrival;
   bool has_deadline = false;
   Clock::time_point deadline;
@@ -92,6 +105,8 @@ struct BsrServer::Request {
   SampleRequest sample;
   ReconstructRequest recon;
   std::vector<uint64_t> ids;
+  /// SAMPLE and RECONSTRUCT: the filter bytes and their XXH64.
+  ByteView filter;
   uint64_t filter_digest = 0;
 };
 
@@ -451,13 +466,34 @@ void BsrServer::AcceptReady() {
 }
 
 void BsrServer::ReadReady(const std::shared_ptr<Conn>& conn) {
-  uint8_t buf[64 * 1024];
-  while (true) {
-    const ssize_t n = recv(conn->fd, buf, sizeof(buf), 0);
+  while (!conn->closed.load()) {
+    if (conn->close_after_flush) {
+      // The stream is already condemned; drop whatever else arrives.
+      conn->staged = 0;
+      conn->assembling = false;
+      conn->payload.reset();
+    }
+    // Once a header has announced its payload, recv lands in the payload
+    // buffer itself; otherwise in the staging buffer.
+    const bool direct = conn->assembling;
+    uint8_t* dst = direct ? conn->payload.get() + conn->payload_got
+                          : conn->staging + conn->staged;
+    const size_t want =
+        direct ? conn->pending.header.payload_len - conn->payload_got
+               : Conn::kStagingBytes - conn->staged;
+    const ssize_t n = recv(conn->fd, dst, want, 0);
     if (n > 0) {
-      conn->inbuf.insert(conn->inbuf.end(), buf, buf + n);
       conn->last_activity = Clock::now();
-      if (static_cast<size_t>(n) < sizeof(buf)) break;
+      if (direct) {
+        conn->payload_got += static_cast<size_t>(n);
+        if (conn->payload_got == conn->pending.header.payload_len) {
+          FinishFrame(conn);
+        }
+      } else if (!conn->close_after_flush) {
+        conn->staged += static_cast<size_t>(n);
+        ParseStaging(conn);
+      }
+      if (static_cast<size_t>(n) < want) break;
       continue;
     }
     if (n == 0) {
@@ -469,17 +505,19 @@ void BsrServer::ReadReady(const std::shared_ptr<Conn>& conn) {
     CloseConn(conn);
     return;
   }
-  DrainInbuf(conn);
+  const bool was_mid = conn->mid_frame;
+  conn->mid_frame = conn->assembling || conn->staged > 0;
+  if (conn->mid_frame && !was_mid) conn->frame_start = Clock::now();
 }
 
-void BsrServer::DrainInbuf(const std::shared_ptr<Conn>& conn) {
+void BsrServer::ParseStaging(const std::shared_ptr<Conn>& conn) {
   size_t pos = 0;
   while (!conn->closed.load() && !conn->close_after_flush &&
-         conn->inbuf.size() - pos >= kFrameHeaderBytes) {
+         conn->staged - pos >= kFrameHeaderBytes) {
+    const uint8_t* header = conn->staging + pos;
     DecodedHeader decoded;
-    const Status st =
-        DecodeHeader(conn->inbuf.data() + pos, conn->inbuf.size() - pos,
-                     options_.max_payload_bytes, &decoded);
+    const Status st = DecodeHeader(header, kFrameHeaderBytes,
+                                   options_.max_payload_bytes, &decoded);
     if (!st.ok()) {
       {
         std::lock_guard<std::mutex> lock(stats_mu_);
@@ -493,42 +531,56 @@ void BsrServer::DrainInbuf(const std::shared_ptr<Conn>& conn) {
       conn->close_after_flush = true;
       break;
     }
-    const size_t frame_len = kFrameHeaderBytes + decoded.header.payload_len;
-    if (conn->inbuf.size() - pos < frame_len) break;  // partial frame
-    const uint8_t* frame = conn->inbuf.data() + pos;
-    const uint64_t digest = FrameDigest(frame, frame + kFrameHeaderBytes,
-                                        decoded.header.payload_len);
-    if (digest != decoded.digest) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.bad_frames;
-      }
-      SendError(conn, decoded.header.opcode, decoded.header.request_id,
-                WireStatus::kInvalidArgument, "frame digest mismatch");
-      conn->close_after_flush = true;
+    const size_t len = decoded.header.payload_len;
+    const size_t have =
+        std::min(len, conn->staged - pos - kFrameHeaderBytes);
+    std::memcpy(conn->frame_header, header, kFrameHeaderBytes);
+    conn->pending = decoded;
+    conn->payload.reset(len > 0 ? new uint8_t[len] : nullptr);
+    if (have > 0) {
+      std::memcpy(conn->payload.get(), header + kFrameHeaderBytes, have);
+    }
+    conn->payload_got = have;
+    pos += kFrameHeaderBytes + have;
+    if (have < len) {
+      conn->assembling = true;  // the rest arrives straight in the buffer
       break;
     }
-    std::vector<uint8_t> payload(frame + kFrameHeaderBytes,
-                                 frame + frame_len);
-    pos += frame_len;
+    FinishFrame(conn);
+  }
+  if (conn->close_after_flush) pos = conn->staged;
+  if (pos > 0) {
+    std::memmove(conn->staging, conn->staging + pos, conn->staged - pos);
+    conn->staged -= pos;
+  }
+}
+
+void BsrServer::FinishFrame(const std::shared_ptr<Conn>& conn) {
+  conn->assembling = false;
+  std::unique_ptr<uint8_t[]> payload = std::move(conn->payload);
+  conn->payload_got = 0;
+  const DecodedHeader& decoded = conn->pending;
+  if (FrameDigest(conn->frame_header, payload.get(),
+                  decoded.header.payload_len) != decoded.digest) {
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.frames_in;
+      ++stats_.bad_frames;
     }
-    Admit(conn, decoded, std::move(payload));
+    SendError(conn, decoded.header.opcode, decoded.header.request_id,
+              WireStatus::kInvalidArgument, "frame digest mismatch");
+    conn->close_after_flush = true;
+    return;
   }
-  if (pos > 0) {
-    conn->inbuf.erase(conn->inbuf.begin(),
-                      conn->inbuf.begin() + static_cast<ptrdiff_t>(pos));
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.frames_in;
   }
-  const bool was_mid = conn->mid_frame;
-  conn->mid_frame = !conn->inbuf.empty();
-  if (conn->mid_frame && !was_mid) conn->frame_start = Clock::now();
+  Admit(conn, decoded, std::move(payload));
 }
 
 void BsrServer::Admit(const std::shared_ptr<Conn>& conn,
                       const DecodedHeader& decoded,
-                      std::vector<uint8_t> payload) {
+                      std::unique_ptr<uint8_t[]> payload) {
   const FrameHeader& h = decoded.header;
   if (!OpcodeKnown(decoded.raw_opcode)) {
     // Unknown opcodes are per-frame errors — framing is intact, the
@@ -774,33 +826,34 @@ void BsrServer::ExecuteBatch(std::vector<std::unique_ptr<Request>> batch) {
       continue;
     }
     Status decode = Status::OK();
+    const uint8_t* payload = req->payload.get();
+    const size_t payload_len = req->header.payload_len;
     switch (req->header.opcode) {
       case Opcode::kSample:
-        decode = DecodeSampleRequest(req->payload.data(),
-                                     req->payload.size(), &req->sample);
+        decode = DecodeSampleRequest(payload, payload_len, &req->sample);
         if (decode.ok() && req->sample.count > kMaxSampleCount) {
           decode = Status::InvalidArgument(
               "sample count " + std::to_string(req->sample.count) +
               " exceeds the per-request cap of " +
               std::to_string(kMaxSampleCount));
         }
-        if (decode.ok()) {
-          req->filter_digest = XxHash64::Hash(req->sample.filter.data(),
-                                              req->sample.filter.size());
-        }
+        req->filter = req->sample.filter;
         break;
       case Opcode::kReconstruct:
-        decode = DecodeReconstructRequest(req->payload.data(),
-                                          req->payload.size(), &req->recon);
+        decode = DecodeReconstructRequest(payload, payload_len, &req->recon);
+        req->filter = req->recon.filter;
         break;
       case Opcode::kInsert:
       case Opcode::kRemove:
-        decode =
-            DecodeIdList(req->payload.data(), req->payload.size(), &req->ids);
+        decode = DecodeIdList(payload, payload_len, &req->ids);
         break;
       default:
         decode = Status::InvalidArgument("opcode not executable");
         break;
+    }
+    if (decode.ok() && req->filter.data() != nullptr) {
+      req->filter_digest =
+          XxHash64::Hash(req->filter.data(), req->filter.size());
     }
     if (!decode.ok()) {
       respond_error(req, WireStatusFromStatus(decode), decode.message());
@@ -823,7 +876,7 @@ void BsrServer::ExecuteBatch(std::vector<std::unique_ptr<Request>> batch) {
     for (size_t j = i; j < samples.size(); ++j) {
       if (grouped[j]) continue;
       if (samples[j]->filter_digest == samples[i]->filter_digest &&
-          samples[j]->sample.filter == samples[i]->sample.filter) {
+          samples[j]->filter == samples[i]->filter) {
         grouped[j] = true;
         group.push_back(samples[j]);
       }
@@ -850,14 +903,16 @@ void BsrServer::ExecuteBatch(std::vector<std::unique_ptr<Request>> batch) {
 
 Result<std::shared_ptr<BsrServer::PooledContext>> BsrServer::GetContext(
     const IngestPipeline::ReadGuard& guard, uint64_t filter_digest,
-    const std::vector<uint8_t>& filter_bytes) {
+    ByteView filter_bytes) {
   const BloomSampleTree* tree = &guard.tree();
+  const size_t node_count = tree->node_count();
   {
     std::lock_guard<std::mutex> lock(ctx_mu_);
     for (auto it = ctx_pool_.begin(); it != ctx_pool_.end();) {
-      if ((*it)->tree.get() != tree) {
-        // A hot swap retired this entry's tree; drop it so the pool
-        // never pins a dead generation.
+      if ((*it)->tree.get() != tree || (*it)->node_count != node_count) {
+        // A hot swap retired this entry's tree, or an insert added nodes
+        // past the end of its context's per-node caches; drop it so the
+        // pool never pins a dead generation or reads past a cache.
         it = ctx_pool_.erase(it);
         continue;
       }
@@ -869,21 +924,18 @@ Result<std::shared_ptr<BsrServer::PooledContext>> BsrServer::GetContext(
       ++it;
     }
   }
-  // Miss: deserialize against THIS tree's family (filter compatibility
-  // is pointer identity on the family, so the context binds to exactly
-  // the generation the guard pinned).
-  std::string bytes(reinterpret_cast<const char*>(filter_bytes.data()),
-                    filter_bytes.size());
-  std::istringstream in(bytes);
-  auto filter = DeserializeBloomFilter(&in, tree->family_ptr());
+  // Miss: decode in place from the request frame against THIS tree's
+  // family (filter compatibility is pointer identity on the family, so
+  // the context binds to exactly the generation the guard pinned).
+  auto filter = DecodeBloomFilter(filter_bytes.data(), filter_bytes.size(),
+                                  tree->family_ptr());
   if (!filter.ok()) return filter.status();
   auto entry = std::make_shared<PooledContext>();
   entry->filter_digest = filter_digest;
-  entry->tree = pipeline_->tree_handle();
-  if (entry->tree.get() != tree) {
-    // The swap landed between our guard release... it cannot: the guard
-    // holds the lane shared lock, so the handle IS the guarded tree.
-    return Status::Internal("tree handle changed under a read guard");
+  entry->node_count = node_count;
+  entry->tree = guard.tree_ref();
+  if (entry->tree == nullptr) {
+    return Status::Internal("read guard holds no refcounted tree");
   }
   entry->filter =
       std::make_unique<BloomFilter>(std::move(filter).value());
@@ -903,8 +955,7 @@ void BsrServer::ExecuteSampleGroup(const std::vector<Request*>& group) {
   // reads a single tree generation, so each response is wholly-old or
   // wholly-new across a hot swap — never a blend.
   IngestPipeline::ReadGuard guard = pipeline_->AcquireRead();
-  auto ctx = GetContext(guard, group[0]->filter_digest,
-                        group[0]->sample.filter);
+  auto ctx = GetContext(guard, group[0]->filter_digest, group[0]->filter);
   if (!ctx.ok()) {
     for (Request* req : group) {
       SendError(req->conn, req->header.opcode, req->header.request_id,
@@ -949,9 +1000,7 @@ void BsrServer::ExecuteOne(Request* req) {
   switch (req->header.opcode) {
     case Opcode::kReconstruct: {
       IngestPipeline::ReadGuard guard = pipeline_->AcquireRead();
-      const uint64_t digest = XxHash64::Hash(req->recon.filter.data(),
-                                             req->recon.filter.size());
-      auto ctx = GetContext(guard, digest, req->recon.filter);
+      auto ctx = GetContext(guard, req->filter_digest, req->filter);
       if (!ctx.ok()) {
         SendError(req->conn, req->header.opcode, req->header.request_id,
                   WireStatusFromStatus(ctx.status()),

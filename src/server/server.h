@@ -179,6 +179,9 @@ class BsrServer {
   struct PooledContext {
     uint64_t filter_digest = 0;
     std::shared_ptr<const BloomSampleTree> tree;
+    /// tree->node_count() when the context was built: the context sizes
+    /// its caches by it, so a tree that has grown since is a miss.
+    size_t node_count = 0;
     std::unique_ptr<BloomFilter> filter;
     std::unique_ptr<QueryContext> ctx;
   };
@@ -193,10 +196,14 @@ class BsrServer {
   void AcceptReady();
   void ReadReady(const std::shared_ptr<Conn>& conn);
   void WriteReady(const std::shared_ptr<Conn>& conn);
-  /// Parses complete frames out of conn->inbuf; admits/answers/sheds.
-  void DrainInbuf(const std::shared_ptr<Conn>& conn);
+  /// Parses frame headers out of the staging buffer: a frame that is
+  /// all there is finished, a longer one continues straight into its
+  /// payload buffer.
+  void ParseStaging(const std::shared_ptr<Conn>& conn);
+  /// Checks the digest of the frame just received; admits or refuses it.
+  void FinishFrame(const std::shared_ptr<Conn>& conn);
   void Admit(const std::shared_ptr<Conn>& conn, const DecodedHeader& decoded,
-             std::vector<uint8_t> payload);
+             std::unique_ptr<uint8_t[]> payload);
   void CloseConn(const std::shared_ptr<Conn>& conn);
   void SweepTimeouts();
   void FlushWakes();
@@ -219,7 +226,7 @@ class BsrServer {
   /// guarded tree generation.
   Result<std::shared_ptr<PooledContext>> GetContext(
       const IngestPipeline::ReadGuard& guard, uint64_t filter_digest,
-      const std::vector<uint8_t>& filter_bytes);
+      ByteView filter_bytes);
   std::string BuildStatsText() const;
 
   void WakeLoop();

@@ -1,6 +1,7 @@
 #include "src/util/bitvector.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/util/simd.h"
 
@@ -36,6 +37,22 @@ BitVector& BitVector::operator=(BitVector&& other) noexcept {
 }
 
 void BitVector::Reset() { std::fill(data_, data_ + word_count_, 0); }
+
+bool BitVector::AssignWords(const void* words, size_t count) {
+  BSR_CHECK(count == word_count_, "BitVector::AssignWords word count mismatch");
+  if (count == 0) return true;
+  const size_t tail_bits = size_ % 64;
+  if (tail_bits != 0) {
+    uint64_t last;
+    std::memcpy(&last,
+                static_cast<const uint8_t*>(words) +
+                    (count - 1) * sizeof(uint64_t),
+                sizeof(last));
+    if ((last >> tail_bits) != 0) return false;
+  }
+  std::memcpy(data_, words, count * sizeof(uint64_t));
+  return true;
+}
 
 size_t BitVector::Popcount() const {
   return static_cast<size_t>(simd::Popcount(data_, word_count_));

@@ -148,6 +148,15 @@ class BitVector {
   /// Sets all bits to zero.
   void Reset();
 
+  /// Overwrites every word with `count` words copied in bulk from `words`
+  /// (host byte order, any alignment); `count` must equal word_count().
+  /// Returns false and leaves the vector untouched when the last source
+  /// word sets a bit at or beyond size(), so untrusted input cannot break
+  /// the trailing-bit-zero invariant. A span vector is written through.
+  /// BloomFilter callers go through mutable_bits(), which drops the
+  /// filter's memoized popcount.
+  bool AssignWords(const void* words, size_t count);
+
   /// Number of set bits.
   size_t Popcount() const;
 

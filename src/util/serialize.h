@@ -8,6 +8,7 @@
 #ifndef BLOOMSAMPLE_UTIL_SERIALIZE_H_
 #define BLOOMSAMPLE_UTIL_SERIALIZE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <istream>
@@ -18,6 +19,17 @@
 #include "src/util/status.h"
 
 namespace bloomsample {
+
+inline constexpr bool kLittleEndianHost =
+    __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__;
+
+/// Converts `count` little-endian words in place to host order (nothing to
+/// do on a little-endian host).
+inline void LittleEndianToHost(uint64_t* words, size_t count) {
+  if constexpr (!kLittleEndianHost) {
+    for (size_t i = 0; i < count; ++i) words[i] = __builtin_bswap64(words[i]);
+  }
+}
 
 class BinaryWriter {
  public:
@@ -66,6 +78,9 @@ class BinaryWriter {
 
 class BinaryReader {
  public:
+  /// Words per bulk read in ReadU64Vector (512 KiB).
+  static constexpr size_t kBulkWords = size_t{1} << 16;
+
   explicit BinaryReader(std::istream* in) : in_(in) {
     BSR_CHECK(in != nullptr, "BinaryReader needs a stream");
   }
@@ -103,19 +118,27 @@ class BinaryReader {
     return value;
   }
 
+  /// Reads a u64 count and then that many words with bulk reads of up to
+  /// kBulkWords each, so a hostile count within `max_size` only grows the
+  /// vector as far as the stream really goes.
   Result<std::vector<uint64_t>> ReadU64Vector(uint64_t max_size) {
     Result<uint64_t> size = ReadU64();
     if (!size.ok()) return size.status();
     if (size.value() > max_size) {
       return Status::OutOfRange("vector size exceeds sanity bound");
     }
+    const size_t count = static_cast<size_t>(size.value());
     std::vector<uint64_t> values;
-    values.reserve(static_cast<size_t>(size.value()));
-    for (uint64_t i = 0; i < size.value(); ++i) {
-      Result<uint64_t> v = ReadU64();
-      if (!v.ok()) return v.status();
-      values.push_back(v.value());
+    values.reserve(count);
+    while (values.size() < count) {
+      const size_t done = values.size();
+      const size_t chunk = std::min(count - done, kBulkWords);
+      values.resize(done + chunk);
+      in_->read(reinterpret_cast<char*>(values.data() + done),
+                static_cast<std::streamsize>(chunk * sizeof(uint64_t)));
+      if (!in_->good()) return Status::OutOfRange("truncated stream (u64)");
     }
+    LittleEndianToHost(values.data(), values.size());
     return values;
   }
 

@@ -138,10 +138,11 @@ TEST(ProtocolTest, OpcodeIdempotencyGovernsTheRetryGate) {
 }
 
 TEST(ProtocolTest, SampleRequestRoundTrip) {
+  const std::vector<uint8_t> filter = {9, 8, 7, 6};
   SampleRequest req;
   req.count = 17;
   req.seed = 0xDEADBEEFCAFEull;
-  req.filter = {9, 8, 7, 6};
+  req.filter = filter;
   std::vector<uint8_t> bytes;
   EncodeSampleRequest(req, &bytes);
 
@@ -156,9 +157,10 @@ TEST(ProtocolTest, SampleRequestRoundTrip) {
 }
 
 TEST(ProtocolTest, ReconstructRequestRoundTrip) {
+  const std::vector<uint8_t> filter = {1, 2, 3};
   ReconstructRequest req;
   req.exact = true;
-  req.filter = {1, 2, 3};
+  req.filter = filter;
   std::vector<uint8_t> bytes;
   EncodeReconstructRequest(req, &bytes);
 

@@ -99,6 +99,188 @@ TEST(BloomIoTest, GarbageStreamRejected) {
   EXPECT_FALSE(DeserializeBloomFilter(&stream, family).ok());
 }
 
+// --- the in-place span decoder against the stream decoder ---------------
+
+std::vector<uint8_t> EncodeFilter(const BloomFilter& filter) {
+  std::ostringstream out;
+  EXPECT_TRUE(SerializeBloomFilter(filter, &out).ok());
+  const std::string bytes = out.str();
+  return std::vector<uint8_t>(bytes.begin(), bytes.end());
+}
+
+Result<BloomFilter> StreamDecode(const std::vector<uint8_t>& bytes,
+                                 std::shared_ptr<const HashFamily> family) {
+  std::istringstream in(std::string(bytes.begin(), bytes.end()));
+  return DeserializeBloomFilter(&in, std::move(family));
+}
+
+Result<BloomFilter> SpanDecode(const std::vector<uint8_t>& bytes,
+                               std::shared_ptr<const HashFamily> family) {
+  return DecodeBloomFilter(bytes.data(), bytes.size(), std::move(family));
+}
+
+/// Offsets in the encoding (bloom_io.h).
+constexpr size_t kWordCountOffset = 40;
+constexpr size_t kWordsOffset = 48;
+
+void PutLe64(uint64_t v, uint8_t* p) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+TEST(BloomIoTest, SpanAndStreamDecodeAgreeWithTheOriginal) {
+  // m = 1000 leaves 40 bits in the last word (the trailing-bit mask);
+  // m = 1e6 is a multiple of 64.
+  for (const uint64_t m : {uint64_t{1000}, uint64_t{1000000}}) {
+    auto family =
+        MakeHashFamily(HashFamilyKind::kSimple, 3, m, 42, 1000000).value();
+    BloomFilter filter(family);
+    Rng rng(m);
+    for (int i = 0; i < 300; ++i) filter.Insert(rng.Below(1000000));
+    const std::vector<uint8_t> bytes = EncodeFilter(filter);
+
+    auto span = SpanDecode(bytes, family);
+    auto stream = StreamDecode(bytes, family);
+    ASSERT_TRUE(span.ok()) << span.status().ToString();
+    ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+    EXPECT_EQ(span.value(), filter) << "m=" << m;
+    EXPECT_EQ(stream.value(), filter) << "m=" << m;
+    EXPECT_EQ(span.value().SetBitCount(), filter.bits().Popcount());
+    EXPECT_EQ(stream.value().SetBitCount(), filter.bits().Popcount());
+
+    // The span may sit at any alignment inside a frame.
+    std::vector<uint8_t> shifted(bytes.size() + 1);
+    std::copy(bytes.begin(), bytes.end(), shifted.begin() + 1);
+    auto unaligned =
+        DecodeBloomFilter(shifted.data() + 1, bytes.size(), family);
+    ASSERT_TRUE(unaligned.ok()) << unaligned.status().ToString();
+    EXPECT_EQ(unaligned.value(), filter);
+
+    // Bytes past the words are left unread by both decoders.
+    std::vector<uint8_t> padded = bytes;
+    padded.push_back(0xAB);
+    EXPECT_TRUE(SpanDecode(padded, family).ok());
+    EXPECT_TRUE(StreamDecode(padded, family).ok());
+  }
+}
+
+TEST(BloomIoTest, EachRejectionKeepsItsStatusCode) {
+  const uint64_t m = 1000;  // 16 words, the last one 40 bits wide
+  auto family =
+      MakeHashFamily(HashFamilyKind::kSimple, 3, m, 42, 100000).value();
+  BloomFilter filter(family);
+  for (uint64_t x = 0; x < 100000; x += 997) filter.Insert(x);
+  const std::vector<uint8_t> good = EncodeFilter(filter);
+  const uint64_t words = (m + 63) / 64;
+  ASSERT_EQ(good.size(), kWordsOffset + 8 * words);
+
+  struct Case {
+    const char* name;
+    std::vector<uint8_t> bytes;
+    std::shared_ptr<const HashFamily> family;
+    Status::Code code;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"truncated header",
+                   std::vector<uint8_t>(good.begin(), good.begin() + 20),
+                   family, Status::Code::kOutOfRange});
+  cases.push_back({"truncated payload",
+                   std::vector<uint8_t>(good.begin(), good.end() - 1), family,
+                   Status::Code::kOutOfRange});
+  {
+    std::vector<uint8_t> b = good;
+    b[0] = 'X';
+    cases.push_back({"bad tag", b, family, Status::Code::kInvalidArgument});
+  }
+  {
+    std::vector<uint8_t> b = good;
+    b[4] = 2;
+    cases.push_back({"bad version", b, family, Status::Code::kUnsupported});
+  }
+  cases.push_back(
+      {"fingerprint mismatch", good,
+       MakeHashFamily(HashFamilyKind::kSimple, 3, m, 43, 100000).value(),
+       Status::Code::kInvalidArgument});
+  {
+    std::vector<uint8_t> b = good;
+    PutLe64(words + 1, b.data() + kWordCountOffset);
+    b.resize(b.size() + 8);
+    cases.push_back(
+        {"word count over bound", b, family, Status::Code::kOutOfRange});
+  }
+  {
+    std::vector<uint8_t> b = good;
+    PutLe64(words - 1, b.data() + kWordCountOffset);
+    cases.push_back(
+        {"word count under bound", b, family, Status::Code::kInvalidArgument});
+  }
+  {
+    std::vector<uint8_t> b = good;
+    b[kWordsOffset + 8 * (words - 1) + 5] |= 0x01;  // bit 1000 = bit 40 of word 15
+    cases.push_back(
+        {"stray trailing bit", b, family, Status::Code::kInvalidArgument});
+  }
+
+  for (const Case& c : cases) {
+    auto span = SpanDecode(c.bytes, c.family);
+    auto stream = StreamDecode(c.bytes, c.family);
+    ASSERT_FALSE(span.ok()) << c.name;
+    ASSERT_FALSE(stream.ok()) << c.name;
+    EXPECT_EQ(span.status().code(), c.code)
+        << c.name << ": " << span.status().ToString();
+    EXPECT_EQ(stream.status().code(), c.code)
+        << c.name << ": " << stream.status().ToString();
+    EXPECT_EQ(span.status().message(), stream.status().message()) << c.name;
+  }
+}
+
+TEST(BloomIoTest, MutatedEncodingsGetTheSameVerdictFromBothDecoders) {
+  constexpr uint64_t kSeed = 20261019;
+  constexpr int kIterations = 4000;
+  auto family =
+      MakeHashFamily(HashFamilyKind::kSimple, 3, 1000, 42, 100000).value();
+  BloomFilter filter(family);
+  for (uint64_t x = 3; x < 100000; x += 1231) filter.Insert(x);
+  const std::vector<uint8_t> good = EncodeFilter(filter);
+
+  Rng rng(kSeed);
+  size_t accepted = 0;
+  for (int it = 0; it < kIterations; ++it) {
+    std::vector<uint8_t> bytes = good;
+    // Half the flips land in the header and first words, where most of
+    // the checks live.
+    const int flips = 1 + static_cast<int>(rng.Below(3));
+    for (int f = 0; f < flips; ++f) {
+      const size_t span = rng.Bernoulli(0.5) ? 64 : bytes.size();
+      const size_t at = static_cast<size_t>(rng.Below(span));
+      bytes[at] ^= static_cast<uint8_t>(1 + rng.Below(255));
+    }
+    if (rng.Bernoulli(0.3)) {
+      bytes.resize(static_cast<size_t>(rng.Below(bytes.size() + 1)));
+    }
+    if (rng.Bernoulli(0.1)) bytes = good;  // keep some inputs valid
+
+    auto span = SpanDecode(bytes, family);
+    auto stream = StreamDecode(bytes, family);
+    ASSERT_EQ(span.ok(), stream.ok())
+        << "seed " << kSeed << " iteration " << it << ": span "
+        << (span.ok() ? "OK" : span.status().ToString()) << ", stream "
+        << (stream.ok() ? "OK" : stream.status().ToString());
+    if (span.ok()) {
+      ++accepted;
+      ASSERT_EQ(span.value(), stream.value())
+          << "seed " << kSeed << " iteration " << it;
+    } else {
+      ASSERT_EQ(span.status().code(), stream.status().code())
+          << "seed " << kSeed << " iteration " << it;
+      ASSERT_EQ(span.status().message(), stream.status().message())
+          << "seed " << kSeed << " iteration " << it;
+    }
+  }
+  // Both sides of the verdict were exercised.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, static_cast<size_t>(kIterations));
+}
+
 TreeConfig IoConfig(uint64_t M = 4096, uint64_t m = 6000, uint32_t depth = 4) {
   TreeConfig config;
   config.namespace_size = M;

@@ -14,7 +14,11 @@
 //     dropped (the stream position can no longer be trusted);
 //   * idle connections and slow-loris partial frames are closed on their
 //     timeouts;
-//   * graceful drain answers in-flight requests before stopping.
+//   * graceful drain answers in-flight requests before stopping;
+//   * unpooled reads beside a stream of inserts never wedge the daemon,
+//     and a pooled context is rebuilt once an insert grows the tree;
+//   * a request whose filter the decoder rejects is answered with the
+//     decoder's status on the same, still-usable connection.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -23,9 +27,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <memory>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -345,6 +352,190 @@ TEST(ServerTest, DrainAnswersInFlightThenStops) {
   // And the daemon is really gone: new connections are refused.
   auto late = QuickClient(h.server->address(), /*max_retries=*/0);
   EXPECT_FALSE(late.ok());
+}
+
+/// Waits up to `budget` for `f`; a daemon that wedged would hang the
+/// suite, so the binary ends at once with the failure on record.
+template <typename T>
+T GetOrDie(std::future<T>* f, const char* what,
+           std::chrono::seconds budget = std::chrono::seconds(60)) {
+  if (f->wait_for(budget) != std::future_status::ready) {
+    ADD_FAILURE() << what << " did not finish within " << budget.count()
+                  << " s: the daemon is wedged";
+    std::fflush(nullptr);
+    std::_Exit(1);
+  }
+  return f->get();
+}
+
+TEST(ServerTest, UnpooledReadsBesideInsertsDoNotDeadlock) {
+  // On a pool miss the worker, already holding the lane's shared lock
+  // through its read guard, must not take it again: a writer that queues
+  // between the two holds would wait on the first while the second waits
+  // on the writer.
+  ServerHarness h;
+  ServerOptions options;
+  options.context_cache_capacity = 0;  // every read misses the pool
+  h.Start("unpooled", options);
+  std::vector<std::vector<uint8_t>> filters;
+  for (uint64_t f = 0; f < 6; ++f) {
+    filters.push_back(FilterBytesFor(*h.tree, {5 + 27 * f, 113 + 27 * f}));
+  }
+  std::vector<uint64_t> fresh;  // ids the base set lacks (x % 27 != 5)
+  for (uint64_t x = 0; fresh.size() < 200; ++x) {
+    if (x % 27 != 5) fresh.push_back(x);
+  }
+
+  auto reader = std::async(std::launch::async, [&] {
+    auto client = QuickClient(h.server->address());
+    EXPECT_TRUE(client.ok());
+    size_t ok = 0;
+    for (size_t i = 0; i < 400; ++i) {
+      ok += client.value()->Reconstruct(filters[i % filters.size()],
+                                        /*exact=*/true).ok();
+    }
+    return ok;
+  });
+  auto writer = std::async(std::launch::async, [&] {
+    auto client = QuickClient(h.server->address());
+    EXPECT_TRUE(client.ok());
+    size_t ok = 0;
+    for (uint64_t id : fresh) ok += client.value()->Insert({id}).ok();
+    return ok;
+  });
+  EXPECT_EQ(GetOrDie(&reader, "unpooled RECONSTRUCT stream"), 400u);
+  EXPECT_EQ(GetOrDie(&writer, "INSERT stream"), fresh.size());
+}
+
+TEST(ServerTest, PooledContextIsRebuiltWhenAnInsertAddsANode) {
+  // Only the lower half of the namespace is occupied, so the pruned tree
+  // has no nodes over the upper half until an insert lands there.
+  std::vector<uint64_t> occupied;
+  for (uint64_t x = 5; x < 2048; x += 27) occupied.push_back(x);
+  ServerHarness h;
+  h.Start("grow", ServerOptions(), occupied);
+  const std::vector<uint64_t> query_ids = {5, 32, 59, 3001, 3500};
+  const std::vector<uint8_t> filter_bytes = FilterBytesFor(*h.tree,
+                                                           query_ids);
+  auto client = QuickClient(h.server->address());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.value()->Reconstruct(filter_bytes, true).ok());  // pools
+
+  const size_t nodes_before = h.pipeline->tree_handle()->node_count();
+  ASSERT_TRUE(client.value()->Insert({3001}).ok());
+  const auto tree = h.pipeline->tree_handle();
+  ASSERT_GT(tree->node_count(), nodes_before);
+
+  auto remote = client.value()->Reconstruct(filter_bytes, /*exact=*/true);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  BloomFilter query(tree->family_ptr());
+  query.InsertBatch(query_ids);
+  QueryContext fresh(*tree, query);
+  const auto local = BstReconstructor(tree.get())
+                         .Reconstruct(fresh, nullptr,
+                                      BstReconstructor::PruningMode::kExact);
+  EXPECT_EQ(remote.value(), local);
+  EXPECT_TRUE(std::binary_search(local.begin(), local.end(), 3001u));
+}
+
+/// Sends one request frame on a raw connection and reads its response.
+void RawCall(int fd, Opcode opcode, uint64_t request_id,
+             const std::vector<uint8_t>& payload, DecodedHeader* header,
+             std::vector<uint8_t>* body) {
+  FrameHeader h;
+  h.opcode = opcode;
+  h.request_id = request_id;
+  h.payload_len = static_cast<uint32_t>(payload.size());
+  std::vector<uint8_t> frame;
+  EncodeFrame(h, payload.data(), payload.size(), &frame);
+  ASSERT_EQ(send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+  uint8_t resp[kFrameHeaderBytes];
+  ASSERT_TRUE(RawRead(fd, resp, sizeof(resp)));
+  ASSERT_TRUE(DecodeHeader(resp, sizeof(resp), 1u << 24, header).ok());
+  EXPECT_EQ(header->header.request_id, request_id);
+  body->resize(header->header.payload_len);
+  ASSERT_TRUE(RawRead(fd, body->data(), body->size()));
+}
+
+TEST(ServerTest, MalformedFiltersAreAnsweredPerFrame) {
+  ServerHarness h;
+  h.Start("badfilter");
+  const std::vector<uint8_t> good = FilterBytesFor(*h.tree, QueryIds());
+
+  std::vector<std::pair<const char*, std::vector<uint8_t>>> bad;
+  bad.push_back({"truncated",
+                 std::vector<uint8_t>(good.begin(), good.end() - 1)});
+  {
+    const TreeConfig c = GoldenConfig();
+    auto other = MakeHashFamily(c.hash_kind, c.k, c.m, c.seed + 1,
+                                c.namespace_size);
+    ASSERT_TRUE(other.ok());
+    BloomFilter foreign(other.value());
+    foreign.InsertBatch(QueryIds());
+    std::ostringstream out;
+    ASSERT_TRUE(SerializeBloomFilter(foreign, &out).ok());
+    const std::string s = out.str();
+    bad.push_back({"foreign fingerprint",
+                   std::vector<uint8_t>(s.begin(), s.end())});
+  }
+  {
+    // m = 6000: the last of 94 words holds 48 bits; set bit 48 of it.
+    std::vector<uint8_t> stray = good;
+    stray[48 + 93 * 8 + 6] |= 0x01;
+    bad.push_back({"stray trailing bit", stray});
+  }
+
+  const int fd = RawConnect(h.server->address());
+  uint64_t id = 1;
+  for (const auto& [name, bytes] : bad) {
+    const Status expect =
+        DecodeBloomFilter(bytes.data(), bytes.size(), h.tree->family_ptr())
+            .status();
+    ASSERT_FALSE(expect.ok()) << name;
+    const std::vector<uint8_t> view_owner = bytes;
+    SampleRequest sample;
+    sample.count = 4;
+    sample.seed = 1;
+    sample.filter = view_owner;
+    ReconstructRequest recon;
+    recon.exact = true;
+    recon.filter = view_owner;
+    std::vector<uint8_t> sample_payload, recon_payload;
+    EncodeSampleRequest(sample, &sample_payload);
+    EncodeReconstructRequest(recon, &recon_payload);
+    for (const auto& [op, payload] :
+         {std::make_pair(Opcode::kSample, sample_payload),
+          std::make_pair(Opcode::kReconstruct, recon_payload)}) {
+      DecodedHeader header;
+      std::vector<uint8_t> body;
+      RawCall(fd, op, id++, payload, &header, &body);
+      EXPECT_EQ(header.header.status, WireStatusFromStatus(expect))
+          << name << " " << OpcodeName(op);
+      EXPECT_EQ(std::string(body.begin(), body.end()), expect.message())
+          << name << " " << OpcodeName(op);
+    }
+  }
+
+  // The connection survived every refusal: PING and a valid SAMPLE work.
+  DecodedHeader header;
+  std::vector<uint8_t> body;
+  RawCall(fd, Opcode::kPing, id++, {}, &header, &body);
+  EXPECT_EQ(header.header.status, WireStatus::kOk);
+  SampleRequest sample;
+  sample.count = 16;
+  sample.seed = 7;
+  sample.filter = good;
+  std::vector<uint8_t> payload;
+  EncodeSampleRequest(sample, &payload);
+  RawCall(fd, Opcode::kSample, id++, payload, &header, &body);
+  ASSERT_EQ(header.header.status, WireStatus::kOk);
+  std::vector<std::optional<uint64_t>> draws;
+  ASSERT_TRUE(DecodeDraws(body.data(), body.size(), &draws).ok());
+  BloomFilter query(h.tree->family_ptr());
+  query.InsertBatch(QueryIds());
+  EXPECT_EQ(draws, BstSampler(h.tree.get()).SampleBatch(query, 16, 7));
+  close(fd);
 }
 
 }  // namespace
