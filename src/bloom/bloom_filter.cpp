@@ -7,6 +7,7 @@ BloomFilter::BloomFilter(std::shared_ptr<const HashFamily> family)
   BSR_CHECK(family_ != nullptr, "BloomFilter requires a hash family");
   BSR_CHECK(family_->k() <= kMaxK, "hash family k exceeds kMaxK");
   bits_ = BitVector(family_->m());
+  cached_set_bits_.store(0, std::memory_order_relaxed);
 }
 
 BloomFilter::BloomFilter(std::shared_ptr<const HashFamily> family,
@@ -18,6 +19,7 @@ BloomFilter::BloomFilter(std::shared_ptr<const HashFamily> family,
   BSR_CHECK(arena->words_per_block() == (family_->m() + 63) / 64,
             "arena block width does not match the filter's word count");
   bits_ = BitVector::SpanOf(arena->Allocate(), family_->m());
+  cached_set_bits_.store(0, std::memory_order_relaxed);  // zeroed block
 }
 
 BloomFilter::BloomFilter(std::shared_ptr<const HashFamily> family,
@@ -30,13 +32,27 @@ BloomFilter::BloomFilter(std::shared_ptr<const HashFamily> family,
 }
 
 void BloomFilter::Insert(uint64_t key) {
-  InvalidateSetBitCount();
   uint64_t h[kMaxK];
   family_->HashAll(key, h);
+  InsertHashes(h);
+}
+
+void BloomFilter::InsertHashes(const uint64_t* positions) {
   const size_t k = family_->k();
   // Hash outputs are < m == bits_.size() by the family contract, so the
   // hot loop can skip the per-bit range check.
-  for (size_t i = 0; i < k; ++i) bits_.SetUnchecked(h[i]);
+  uint64_t count = cached_set_bits_.load(std::memory_order_relaxed);
+  if (count == kSetBitsUnknown) {
+    for (size_t i = 0; i < k; ++i) bits_.SetUnchecked(positions[i]);
+    return;
+  }
+  // Test-and-set keeps the count exact in O(k), so SetBitCount() never
+  // has to re-popcount the m bits; positions repeated within the k count
+  // once.
+  for (size_t i = 0; i < k; ++i) {
+    count += bits_.TestAndSetUnchecked(positions[i]);
+  }
+  cached_set_bits_.store(count, std::memory_order_relaxed);
 }
 
 void BloomFilter::InsertBatch(const uint64_t* keys, size_t n) {

@@ -90,8 +90,16 @@ class BloomFilter {
   /// (kHashBlock * k u64s) stays comfortably inside L1.
   static constexpr size_t kHashBlock = 256;
 
-  /// Inserts a key: sets the k bits h_0(key)..h_{k-1}(key).
+  /// Inserts a key: sets the k bits h_0(key)..h_{k-1}(key). O(k): a known
+  /// set-bit count is carried forward by the number of bits that flipped
+  /// 0→1, an unknown one stays unknown.
   void Insert(uint64_t key);
+
+  /// Insert's bit-setting half: sets the k bits `positions` names — the
+  /// output of family().HashAll for one key, so every value is < m. A
+  /// caller inserting one key into many filters of the same family (a
+  /// tree's root-to-leaf path) hashes it once and calls this per filter.
+  void InsertHashes(const uint64_t* positions);
 
   /// Inserts keys[0..n): hashes cache-friendly blocks through one virtual
   /// HashBatch call each, then sets the resulting bits. Equivalent to
@@ -119,12 +127,14 @@ class BloomFilter {
   bool IsEmpty() const { return bits_.None(); }
 
   /// Number of set bits (t in the paper's estimator notation). Memoized:
-  /// the first call after a mutation popcounts the whole vector, later
-  /// calls return the cached value. Every mutating member (Insert*,
-  /// UnionWith, IntersectWith, Clear, mutable_bits — which deserializers
-  /// write through) invalidates the cache. Concurrent calls on a filter no
-  /// thread is mutating are race-free (the cache is an atomic; racing
-  /// recomputes store the same value).
+  /// a call with the count unknown popcounts the whole vector once, later
+  /// calls return the cached value. A new filter starts at a known 0 (its
+  /// payload is zeroed); one that adopts a filled payload starts unknown.
+  /// Insert and Clear keep a known count exact (Insert adds the bits it
+  /// newly set, in O(k)); InsertBatch, UnionWith, IntersectWith and
+  /// mutable_bits — which deserializers write through — invalidate it.
+  /// Concurrent calls on a filter no thread is mutating are race-free (the
+  /// cache is an atomic; racing recomputes store the same value).
   size_t SetBitCount() const {
     uint64_t cached = cached_set_bits_.load(std::memory_order_relaxed);
     if (cached == kSetBitsUnknown) {
@@ -167,8 +177,11 @@ class BloomFilter {
   /// Seeds the memoized set-bit count with a value the caller already
   /// knows — snapshot loaders persist each node's popcount, so reloading a
   /// tree needn't touch (or, for mmap'ed payloads, even page in) a single
-  /// payload word. `count` must equal the payload's true popcount; a wrong
-  /// value skews estimates but cannot cause memory unsafety.
+  /// payload word. `count` must equal the payload's true popcount: Insert
+  /// carries a seeded count forward instead of recounting, so the seed is
+  /// trusted for the filter's life (the v2 loader vouches for it with the
+  /// node-table digest and its set_bits <= m check). A wrong value skews
+  /// estimates but cannot cause memory unsafety.
   void SeedSetBitCount(size_t count) {
     cached_set_bits_.store(static_cast<uint64_t>(count),
                            std::memory_order_relaxed);

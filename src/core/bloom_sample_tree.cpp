@@ -392,6 +392,13 @@ Status BloomSampleTree::Insert(uint64_t x) {
   }
   occupied_.insert(it, x);
 
+  // Every node filter shares the tree's family, so x is hashed once and
+  // its k positions set in each filter on the path: O(k·depth), with each
+  // node's count carried forward by the filter (new nodes start from a
+  // zeroed block at a known 0) instead of re-popcounting m bits.
+  uint64_t positions[BloomFilter::kMaxK];
+  family_->HashAll(x, positions);
+
   // Walk the root-to-leaf path, creating missing nodes.
   if (nodes_.empty()) {
     nodes_.emplace_back(0, std::min(RangeWidthAtLevel(0), config_.namespace_size),
@@ -402,7 +409,7 @@ Status BloomSampleTree::Insert(uint64_t x) {
     Node& current = nodes_[static_cast<size_t>(id)];
     BSR_CHECK(current.lo <= x && x < current.hi,
               "insert walked outside node range");
-    current.filter.Insert(x);
+    current.filter.InsertHashes(positions);
     current.set_bits = current.filter.SetBitCount();
     if (current.level == config_.depth) {
       if (counting_leaves_) {

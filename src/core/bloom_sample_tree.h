@@ -66,6 +66,10 @@ class BloomSampleTree {
     int64_t right = kNoNode;
     /// Cached filter popcount (t1 in the estimator); kept in sync by the
     /// builders and Insert so samplers avoid an O(m) recount per visit.
+    /// Insert copies it from the filter's memoized count, which the
+    /// filter carries forward per inserted bit rather than recounting —
+    /// so a count a v2 loader seeded (vouched for by the node-table digest
+    /// and the loader's set_bits <= m check) is trusted across inserts.
     uint64_t set_bits = 0;
     BloomFilter filter;
 
@@ -189,8 +193,9 @@ class BloomSampleTree {
 
   /// Dynamically marks `x` as occupied (pruned trees only): inserts x into
   /// every filter on its root-to-leaf path, creating missing nodes, and
-  /// updates the occupied list. O(depth · m-bit ops + |M′|) per call; batch
-  /// rebuilds are preferable for bulk loads. With a WAL attached the
+  /// updates the occupied list. O(k · depth + |M′|) per call: x is hashed
+  /// once and each node's set-bit count moves by the bits x newly set;
+  /// batch rebuilds are preferable for bulk loads. With a WAL attached the
   /// record is appended (and synced per policy) BEFORE any in-memory
   /// mutation, so an acknowledged insert is exactly one that recovery will
   /// replay; a failed append leaves the tree untouched.

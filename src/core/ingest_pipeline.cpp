@@ -206,26 +206,62 @@ Status IngestPipeline::Remove(uint64_t x) {
 }
 
 Status IngestPipeline::Apply(const WalMutation& mut) {
-  Lane& lane = *lanes_[LaneOf(mut.id)];
-  const Status pre = Validate(lane, mut);
-  if (!pre.ok()) return pre;
-  // Log and fence first (concurrent callers form one fsync group), mutate
-  // second: an acknowledged mutation is durable before it is visible.
-  // Concurrent sync-path mutations of the SAME id have no defined order
-  // (the apply order may differ from the log order); per-id streams that
-  // need ordering should go through one thread or the queue path, whose
-  // single writer applies in log order.
-  //
-  // The window hold spans the whole LOG→FSYNC→MUTATE sequence so
-  // compaction's post-rotation drain waits out any acknowledgement
-  // against the pre-rotation log whose mutation has not reached the
-  // tree yet (see CompactionBody step 2).
-  std::shared_lock<std::shared_mutex> window = LockWindow(lane);
-  const Status st = lane.commit->CommitOne(mut.op, mut.id);
-  if (!st.ok()) return st;
-  if (apply_pause_) apply_pause_();
-  std::unique_lock<std::shared_mutex> lock = LockExclusive(&lane);
-  return ApplyToTreeLocked(&lane, mut);
+  return ApplyBatch({mut}, nullptr);
+}
+
+Status IngestPipeline::ApplyBatch(const std::vector<WalMutation>& muts,
+                                  uint32_t* applied) {
+  uint32_t unreported = 0;
+  uint32_t& reached = applied != nullptr ? *applied : unreported;
+  reached = 0;
+  std::vector<WalMutation> run;
+  size_t i = 0;
+  while (i < muts.size()) {
+    // One run = the longest stretch of consecutive mutations routed to
+    // one lane, cut short at the first one Validate refuses.
+    const uint32_t lane_index = LaneOf(muts[i].id);
+    Lane& lane = *lanes_[lane_index];
+    Status refused;
+    run.clear();
+    for (; i < muts.size() && LaneOf(muts[i].id) == lane_index; ++i) {
+      refused = Validate(lane, muts[i]);
+      if (!refused.ok()) break;
+      run.push_back(muts[i]);
+    }
+    if (!run.empty()) {
+      // Log and fence the whole run as one batch (concurrent callers
+      // still join its fsync group), mutate second: an acknowledged
+      // mutation is durable before it is visible. Concurrent sync-path
+      // mutations of the SAME id have no defined order (the apply order
+      // may differ from the log order); per-id streams that need ordering
+      // should go through one thread or the queue path, whose single
+      // writer applies in log order.
+      //
+      // The window hold spans the whole LOG→FSYNC→MUTATE sequence so
+      // compaction's post-rotation drain waits out any acknowledgement
+      // against the pre-rotation log whose mutation has not reached the
+      // tree yet (see CompactionBody step 2).
+      std::shared_lock<std::shared_mutex> window = LockWindow(lane);
+      const Status st = lane.commit->Commit(run);
+      if (!st.ok()) return st;
+      if (apply_pause_) apply_pause_();
+      std::unique_lock<std::shared_mutex> lock = LockExclusive(&lane);
+      // Every logged record is applied, even past a failure: replay will
+      // apply them all, and the live tree must match what it recovers.
+      Status first;
+      for (const WalMutation& mut : run) {
+        const Status st_apply = ApplyToTreeLocked(&lane, mut);
+        if (st_apply.ok()) {
+          ++reached;
+        } else if (first.ok()) {
+          first = st_apply;
+        }
+      }
+      if (!first.ok()) return first;
+    }
+    if (!refused.ok()) return refused;
+  }
+  return Status::OK();
 }
 
 Status IngestPipeline::Push(const WalMutation& mut) {

@@ -175,9 +175,22 @@ class IngestPipeline {
 
   /// Durably logs and applies one mutation; returns after the ack rule of
   /// the sync policy is met (kEveryRecord: the covering fsync returned).
+  /// A one-element ApplyBatch.
   Status Insert(uint64_t x);
   Status Remove(uint64_t x);
   Status Apply(const WalMutation& mut);
+
+  /// Durably logs and applies `muts` in order, one commit group per run
+  /// of consecutive mutations routed to the same lane: the run's records
+  /// share one GroupCommitWal::Commit (one fsync under kEveryRecord), one
+  /// commit→apply window and one exclusive tree hold. Validation runs per
+  /// mutation before logging; the first refusal ends the batch after the
+  /// valid prefix of its run is committed and applied, and is returned.
+  /// A commit failure (read-only latch) returns at once with that run
+  /// unapplied. `applied` (optional) receives how many mutations reached
+  /// the tree — on a refusal, the length of the applied prefix.
+  Status ApplyBatch(const std::vector<WalMutation>& muts,
+                    uint32_t* applied);
 
   // --- asynchronous ingest (bounded queue, backpressure) ---------------
 
@@ -264,10 +277,11 @@ class IngestPipeline {
   Status Quarantine(uint32_t lane, const std::string& reason);
   bool lane_quarantined(uint32_t lane) const;
 
-  /// Test-only sync point: runs in the synchronous Apply path between
-  /// the commit acknowledgement and the tree mutation — inside the
-  /// rotation window, so tests can park a writer in exactly the gap a
-  /// background compaction must drain. Set before spawning writers.
+  /// Test-only sync point: runs in the synchronous ApplyBatch path (once
+  /// per run) between the commit acknowledgement and the tree mutation —
+  /// inside the rotation window, so tests can park a writer in exactly
+  /// the gap a background compaction must drain. Set before spawning
+  /// writers.
   void set_apply_pause_for_test(std::function<void()> hook) {
     apply_pause_ = std::move(hook);
   }

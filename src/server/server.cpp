@@ -1023,19 +1023,15 @@ void BsrServer::ExecuteOne(Request* req) {
       const WalOp op = req->header.opcode == Opcode::kInsert
                            ? WalOp::kInsert
                            : WalOp::kRemove;
-      uint32_t applied = 0;
-      Status first;
-      for (uint64_t id : req->ids) {
-        WalMutation mut;
-        mut.op = op;
-        mut.id = id;
-        const Status st = pipeline_->Apply(mut);
-        if (!st.ok()) {
-          first = st;
-          break;
-        }
-        ++applied;
+      std::vector<WalMutation> muts(req->ids.size());
+      for (size_t i = 0; i < muts.size(); ++i) {
+        muts[i].op = op;
+        muts[i].id = req->ids[i];
       }
+      // The whole frame is one commit group: one log batch, one fsync and
+      // one exclusive tree hold, not one of each per id.
+      uint32_t applied = 0;
+      const Status first = pipeline_->ApplyBatch(muts, &applied);
       if (first.ok()) {
         std::vector<uint8_t> payload;
         PutU32(applied, &payload);

@@ -134,6 +134,17 @@ class BitVector {
     data_[i >> 6] |= (1ULL << (i & 63));
   }
 
+  /// Sets bit i and returns 1 if it was 0 before, 0 if it was already set
+  /// — the delta a caller keeping a running popcount adds.
+  uint64_t TestAndSetUnchecked(size_t i) {
+    assert(i < size_ && "BitVector::TestAndSetUnchecked out of range");
+    uint64_t& word = data_[i >> 6];
+    const uint64_t mask = 1ULL << (i & 63);
+    const uint64_t was_clear = (word & mask) == 0 ? 1 : 0;
+    word |= mask;
+    return was_clear;
+  }
+
   /// ORs `mask` into word `word_idx` in one store — the register-built
   /// word-mask idiom batched inserters use. Bits beyond size() must not be
   /// set in `mask` (would break the trailing-zero invariant).

@@ -225,6 +225,57 @@ TEST(BloomFilterTest, FilterContainedMatchesContains) {
   EXPECT_EQ(batched, scalar);
 }
 
+TEST(BloomFilterTest, InsertKeepsSetBitCountExact) {
+  // Insert carries a known set-bit count forward by the bits it newly
+  // sets (test-and-set), so the memo must equal a fresh popcount after
+  // every insert. m = 7 with k = 3 makes positions collide both within
+  // one key and across keys, and keys drawn from a small pool repeat.
+  for (HashFamilyKind kind : {HashFamilyKind::kSimple,
+                              HashFamilyKind::kMurmur3, HashFamilyKind::kMd5}) {
+    for (uint64_t m : {uint64_t{7}, uint64_t{64}, uint64_t{1000}}) {
+      auto family = MakeHashFamily(kind, 3, m, 42, 1000).value();
+      for (uint64_t seed = 1; seed <= 4; ++seed) {
+        Rng rng(seed);
+        // Known from birth: a new filter's zeroed payload counts 0.
+        BloomFilter known(family);
+        // Unknown from birth: an adopted, already-filled payload.
+        BitVector filled(m);
+        filled.Set(static_cast<size_t>(rng.Below(m)));
+        filled.Set(static_cast<size_t>(rng.Below(m)));
+        BloomFilter adopted(family, std::move(filled));
+        for (int i = 0; i < 300; ++i) {
+          const uint64_t key = rng.Below(40);
+          known.Insert(key);
+          adopted.Insert(key);
+          ASSERT_EQ(known.SetBitCount(), known.bits().Popcount())
+              << HashFamilyKindName(kind) << " m=" << m << " seed=" << seed
+              << " i=" << i;
+          ASSERT_EQ(adopted.SetBitCount(), adopted.bits().Popcount())
+              << HashFamilyKindName(kind) << " m=" << m << " seed=" << seed
+              << " i=" << i;
+          // Drop the adopted filter's memo now and then, so later inserts
+          // run with it unknown again (and must leave it unknown).
+          if (i % 5 == 0) (void)adopted.mutable_bits();
+        }
+      }
+    }
+  }
+}
+
+TEST(BloomFilterTest, InsertHashesMatchesInsert) {
+  auto family = Family(5000, 4);
+  BloomFilter by_key(family);
+  BloomFilter by_positions(family);
+  uint64_t positions[BloomFilter::kMaxK];
+  for (uint64_t key = 0; key < 400; key += 3) {
+    by_key.Insert(key);
+    family->HashAll(key, positions);
+    by_positions.InsertHashes(positions);
+  }
+  EXPECT_EQ(by_key.bits(), by_positions.bits());
+  EXPECT_EQ(by_positions.SetBitCount(), by_positions.bits().Popcount());
+}
+
 TEST(BloomFilterDeathTest, IncompatibleOperationsAbort) {
   BloomFilter a(Family());
   BloomFilter b(Family(20000));

@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <functional>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "src/core/bst_sampler.h"
+#include "src/core/tree_io.h"
+#include "src/core/wal.h"
 #include "src/workload/set_generators.h"
 
 namespace bloomsample {
@@ -91,7 +97,7 @@ TEST(BloomSampleTreeTest, CachedSetBitsMatchFilters) {
   const auto tree = BloomSampleTree::BuildComplete(SmallConfig()).value();
   for (size_t id = 0; id < tree.node_count(); ++id) {
     const auto& node = tree.node(static_cast<int64_t>(id));
-    EXPECT_EQ(node.set_bits, node.filter.SetBitCount()) << id;
+    EXPECT_EQ(node.set_bits, node.filter.bits().Popcount()) << id;
   }
 }
 
@@ -174,7 +180,7 @@ TEST(BloomSampleTreeTest, DynamicInsertGrowsThePrunedTree) {
   const auto& root = tree.node(tree.root());
   EXPECT_TRUE(root.filter.Contains(10));
   EXPECT_TRUE(root.filter.Contains(1000));
-  EXPECT_EQ(root.set_bits, root.filter.SetBitCount());
+  EXPECT_EQ(root.set_bits, root.filter.bits().Popcount());
 }
 
 TEST(BloomSampleTreeTest, DynamicInsertIsIdempotent) {
@@ -200,6 +206,107 @@ TEST(BloomSampleTreeTest, DynamicInsertMatchesBatchBuild) {
   // whole filters (filter equality includes family identity).
   EXPECT_EQ(incremental.node(incremental.root()).filter.bits(),
             batch.node(batch.root()).filter.bits());
+}
+
+/// Every node's cached count against a fresh popcount of its payload.
+void ExpectExactCounts(const BloomSampleTree& tree, const char* where,
+                       uint64_t step) {
+  for (size_t id = 0; id < tree.node_count(); ++id) {
+    const auto& node = tree.node(static_cast<int64_t>(id));
+    const uint64_t fresh = node.filter.bits().Popcount();
+    ASSERT_EQ(node.set_bits, fresh)
+        << where << " step=" << step << " node=" << id;
+    ASSERT_EQ(node.filter.SetBitCount(), fresh)
+        << where << " step=" << step << " node=" << id;
+  }
+}
+
+/// 64 seeded draws for a query over `ids`, built with the tree's family.
+std::vector<std::optional<uint64_t>> Draws(const BloomSampleTree& tree,
+                                           const std::vector<uint64_t>& ids) {
+  return BstSampler(&tree).SampleBatch(tree.MakeQueryFilter(ids), 64, 17);
+}
+
+TEST(BloomSampleTreeTest, InsertKeepsCountsExactOnEveryLoadPath) {
+  // Insert moves each path node's count by the bits x newly sets instead
+  // of re-popcounting, so the counts a tree starts from — builder-made
+  // (heap load recounts), loader-seeded (mmap v2), or rebuilt by WAL
+  // replay — must stay exact through any insert sequence, and the result
+  // must draw exactly like a fresh BuildPruned of the same occupied set.
+  // m = 300 over 4096 ids crowds the upper filters so bits collide; the
+  // base set lives in [0, 2048), so inserts above it create nodes.
+  const TreeConfig config = SmallConfig(4096, 300, 5);
+  const std::string path = ::testing::TempDir() + "/exact_counts.bst";
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    std::remove(path.c_str());
+    std::remove(WalPathFor(path).c_str());
+    Rng rng(seed);
+    std::vector<uint64_t> base = GenerateUniformSet(2048, 60, &rng).value();
+    std::vector<uint64_t> inserts;
+    for (int i = 0; i < 80; ++i) inserts.push_back(rng.Below(4096));
+    inserts.push_back(base.front());    // already occupied: a no-op
+    inserts.push_back(inserts.front());  // repeated within the stream
+    std::vector<uint64_t> final_set = base;
+    final_set.insert(final_set.end(), inserts.begin(), inserts.end());
+    std::sort(final_set.begin(), final_set.end());
+    final_set.erase(std::unique(final_set.begin(), final_set.end()),
+                    final_set.end());
+
+    const auto built = BloomSampleTree::BuildPruned(config, base).value();
+    ASSERT_TRUE(SaveTreeToFile(built, path).ok());
+    const auto rebuilt = BloomSampleTree::BuildPruned(config, final_set);
+    ASSERT_TRUE(rebuilt.ok());
+    const auto want = Draws(rebuilt.value(), final_set);
+    ASSERT_TRUE(std::any_of(want.begin(), want.end(),
+                            [](const auto& d) { return d.has_value(); }));
+
+    for (const LoadMode mode : {LoadMode::kHeap, LoadMode::kMmap}) {
+      const char* where = mode == LoadMode::kHeap ? "heap" : "mmap";
+      LoadOptions load;
+      load.mode = mode;
+      load.replay_wal = false;
+      auto loaded = LoadTreeFromFile(path, load);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      BloomSampleTree tree = std::move(loaded).value();
+      const size_t nodes_before = tree.node_count();
+      for (size_t i = 0; i < inserts.size(); ++i) {
+        ASSERT_TRUE(tree.Insert(inserts[i]).ok());
+        ExpectExactCounts(tree, where, i);
+      }
+      EXPECT_GT(tree.node_count(), nodes_before) << where;
+      EXPECT_EQ(tree.occupied(), final_set) << where;
+      EXPECT_EQ(Draws(tree, final_set), want) << where << " seed=" << seed;
+    }
+
+    // Log the same inserts, then rebuild the tree by WAL replay on both
+    // load paths.
+    {
+      LoadOptions load;
+      load.mode = LoadMode::kHeap;
+      TreeLoadInfo info;
+      auto loaded = LoadTreeFromFile(path, load, &info);
+      ASSERT_TRUE(loaded.ok());
+      BloomSampleTree tree = std::move(loaded).value();
+      ASSERT_TRUE(AttachTreeWal(&tree, path, WalOptions(), &info).ok());
+      for (uint64_t x : inserts) ASSERT_TRUE(tree.Insert(x).ok());
+    }
+    for (const LoadMode mode : {LoadMode::kHeap, LoadMode::kMmap}) {
+      const char* where = mode == LoadMode::kHeap ? "replay-heap"
+                                                  : "replay-mmap";
+      LoadOptions load;
+      load.mode = mode;
+      TreeLoadInfo info;
+      auto replayed = LoadTreeFromFile(path, load, &info);
+      ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+      EXPECT_GT(info.wal_records_replayed, 0u) << where;
+      ExpectExactCounts(replayed.value(), where, 0);
+      EXPECT_EQ(replayed.value().occupied(), final_set) << where;
+      EXPECT_EQ(Draws(replayed.value(), final_set), want)
+          << where << " seed=" << seed;
+    }
+  }
+  std::remove(path.c_str());
+  std::remove(WalPathFor(path).c_str());
 }
 
 TEST(BloomSampleTreeTest, InsertValidation) {

@@ -7,7 +7,8 @@
 //
 //   * ingest: recovery holds EXACTLY the base set plus the acknowledged
 //     inserts (kEveryRecord policy: acknowledged == durable), bit-identical
-//     across heap and mmap reopens;
+//     across heap and mmap reopens — also when the inserts arrive as
+//     ApplyBatch batches, each one commit group, cut at any point;
 //   * compaction: recovery always equals the full pre-compaction state,
 //     and the on-disk pair is one of {old image, any log} / {new image,
 //     any log} with the log either full or empty — never a torn image,
@@ -558,6 +559,103 @@ TEST(CrashMatrixTest, ConcurrentIngestDiesAtEveryKillPoint) {
       ASSERT_TRUE(recovered_mmap.ok()) << "kill=" << kill;
       ExpectTreesIdentical(recovered.value(), recovered_mmap.value());
     }
+  }
+}
+
+TEST(CrashMatrixTest, BatchIngestDiesAtEveryKillPoint) {
+  // IngestPipeline::ApplyBatch logs each batch as ONE commit group — one
+  // append run, one fsync — so a kill anywhere inside it must leave the
+  // batch all-or-nothing: recovery holds exactly base ∪ acknowledged,
+  // where a batch is acknowledged only when ApplyBatch returned OK.
+  const std::string path = TempPath("crash_batch.bst");
+  const std::string wal_path = WalPathFor(path);
+  auto built = BloomSampleTree::BuildPruned(GoldenConfig(), BaseOccupied());
+  ASSERT_TRUE(built.ok());
+  ASSERT_TRUE(SaveTreeToFile(built.value(), path).ok());
+  const std::string snapshot_bytes = ReadFileBytes(path);
+  const std::vector<uint64_t> extras = ExtraIds();
+  constexpr size_t kBatch = 4;
+
+  auto run = [&](FaultInjectingFileSystem* fs, std::vector<uint64_t>* acked,
+                 IngestPipelineStats* stats) {
+    LoadOptions load_options;
+    load_options.fs = fs;
+    auto loaded = LoadTreeFromFile(path, load_options);
+    if (!loaded.ok()) return;
+    IngestPipelineOptions options;
+    options.wal.policy = WalSyncPolicy::kEveryRecord;
+    options.wal.fs = fs;
+    options.save.fs = fs;
+    options.commit.max_repair_attempts = 2;
+    options.commit.backoff_base = std::chrono::microseconds(1);
+    auto pipeline = IngestPipeline::OpenTree(
+        std::make_shared<BloomSampleTree>(std::move(loaded).value()), path,
+        options);
+    if (!pipeline.ok()) return;
+    IngestPipeline& pipe = *pipeline.value();
+    for (size_t at = 0; at < extras.size(); at += kBatch) {
+      std::vector<WalMutation> batch;
+      for (size_t i = at; i < at + kBatch && i < extras.size(); ++i) {
+        WalMutation mut;
+        mut.id = extras[i];
+        batch.push_back(mut);
+      }
+      uint32_t applied = 0;
+      const Status st = pipe.ApplyBatch(batch, &applied);
+      if (!st.ok()) {
+        EXPECT_EQ(applied, 0u) << "a failed commit applied part of a batch";
+        break;
+      }
+      EXPECT_EQ(applied, batch.size());
+      for (const WalMutation& mut : batch) acked->push_back(mut.id);
+    }
+    if (stats != nullptr) *stats = pipe.Stats();
+    (void)pipe.Close();  // post-crash close errors are expected
+  };
+
+  auto restore = [&]() {
+    WriteFileBytes(path, snapshot_bytes);
+    std::remove(wal_path.c_str());
+    std::remove(OldWalPathFor(path).c_str());
+  };
+
+  restore();
+  uint64_t total_ops = 0;
+  {
+    FaultInjectingFileSystem fs;
+    std::vector<uint64_t> acked;
+    IngestPipelineStats stats;
+    run(&fs, &acked, &stats);
+    ASSERT_EQ(acked.size(), extras.size());
+    const uint64_t batches = (extras.size() + kBatch - 1) / kBatch;
+    EXPECT_EQ(stats.commit_groups, batches);
+    EXPECT_EQ(stats.fsyncs, batches);
+    total_ops = fs.op_count();
+  }
+  ASSERT_GT(total_ops, 0u);
+
+  for (uint64_t kill = 1; kill <= total_ops + 1; ++kill) {
+    restore();
+    FaultInjectingFileSystem fs;
+    fs.CrashAtOp(kill);
+    std::vector<uint64_t> acked;
+    run(&fs, &acked, nullptr);
+    if (!fs.crashed()) fs.SimulateCrash();
+
+    LoadOptions heap;
+    heap.mode = LoadMode::kHeap;
+    auto recovered = LoadTreeFromFile(path, heap);
+    ASSERT_TRUE(recovered.ok())
+        << "kill=" << kill << ": " << recovered.status().ToString();
+    EXPECT_EQ(recovered.value().occupied(),
+              SortedUnion(BaseOccupied(), acked))
+        << "kill=" << kill;
+
+    LoadOptions mmap;
+    mmap.mode = LoadMode::kMmap;
+    auto recovered_mmap = LoadTreeFromFile(path, mmap);
+    ASSERT_TRUE(recovered_mmap.ok()) << "kill=" << kill;
+    ExpectTreesIdentical(recovered.value(), recovered_mmap.value());
   }
 }
 

@@ -22,7 +22,8 @@
 //     snapshot before the frozen log is deleted, and the on-disk
 //     artifact stays recoverable at the end;
 //   * forest pipelines route mutations to per-shard lanes and recover
-//     shard-for-shard.
+//     shard-for-shard; ApplyBatch commits one group per same-lane run and
+//     stops at the first refused mutation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -631,6 +632,57 @@ TEST(IngestPipelineTest, ForestLanesRouteAndRecoverShardForShard) {
   std::sort(all.begin(), all.end());
   EXPECT_TRUE(std::equal(expected.begin(), expected.end(), all.begin()));
   EXPECT_EQ(all.size(), expected.size());
+}
+
+TEST(IngestPipelineTest, ApplyBatchCommitsOneGroupPerLaneRun) {
+  const std::string path = TempPath("pipe_batch.bsf");
+  for (uint32_t s = 0; s < 4; ++s) {
+    const std::string shard = ForestShardPath(path, s);
+    std::remove(shard.c_str());
+    std::remove(WalPathFor(shard).c_str());
+  }
+  ForestConfig config;
+  config.tree = GoldenConfig();
+  config.shards = 4;  // lanes of 1024 ids each
+  auto forest = BloomSampleForest::BuildPruned(config, BaseOccupied());
+  ASSERT_TRUE(forest.ok()) << forest.status().ToString();
+  ASSERT_TRUE(SaveForestToFile(forest.value(), path).ok());
+  auto pipeline =
+      IngestPipeline::OpenForest(&forest.value(), path, DefaultOptions());
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  IngestPipeline& pipe = *pipeline.value();
+
+  const auto batch_of = [](const std::vector<uint64_t>& ids) {
+    std::vector<WalMutation> muts(ids.size());
+    for (size_t i = 0; i < ids.size(); ++i) muts[i].id = ids[i];
+    return muts;
+  };
+  // Runs: lane 0 {6, 33}, lane 1 {1030, 1057}, lane 0 {60}, lane 2 {3000}.
+  uint32_t applied = 0;
+  ASSERT_TRUE(
+      pipe.ApplyBatch(batch_of({6, 33, 1030, 1057, 60, 3000}), &applied).ok());
+  EXPECT_EQ(applied, 6u);
+  EXPECT_EQ(pipe.Stats().commit_groups, 4u);
+
+  // Runs: lane 0 {87}, lane 1 {2000}, then an out-of-range id refused
+  // before logging: the batch stops there, 114 never reaches the log.
+  const Status refused =
+      pipe.ApplyBatch(batch_of({87, 2000, 9999, 114}), &applied);
+  EXPECT_EQ(refused.code(), Status::Code::kOutOfRange);
+  EXPECT_EQ(applied, 2u);
+  EXPECT_EQ(pipe.Stats().commit_groups, 6u);
+  ASSERT_TRUE(pipe.Close().ok());
+
+  auto recovered = LoadForestFromFile(path);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  std::set<uint64_t> all;
+  for (uint32_t s = 0; s < recovered.value().shard_count(); ++s) {
+    const auto& occ = recovered.value().shard(s).occupied();
+    all.insert(occ.begin(), occ.end());
+  }
+  std::set<uint64_t> expected = BaseSet();
+  expected.insert({6, 33, 1030, 1057, 60, 3000, 87, 2000});
+  EXPECT_EQ(all, expected);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 //     the same tree/filter/seed — serving (and cross-client coalescing)
 //     is invisible in the draws;
 //   * RECONSTRUCT equals the local reconstructor; INSERT is durable and
-//     immediately visible to subsequent queries;
+//     immediately visible to subsequent queries; a whole INSERT frame is
+//     one commit group and one fsync, and an id the daemon refuses ends
+//     the frame after the applied prefix ("applied N/M");
 //   * the degradation ladder fires on demand: expired deadlines answer
 //     DEADLINE_EXCEEDED, a full admission queue sheds OVERLOADED (and
 //     the retry-after hint reaches the client), a quarantined lane
@@ -436,6 +438,76 @@ TEST(ServerTest, PooledContextIsRebuiltWhenAnInsertAddsANode) {
                                       BstReconstructor::PruningMode::kExact);
   EXPECT_EQ(remote.value(), local);
   EXPECT_TRUE(std::binary_search(local.begin(), local.end(), 3001u));
+}
+
+/// The value of `key=` in a STATS reply (-1 when absent).
+int64_t StatValue(const std::string& stats, const std::string& key) {
+  const std::string text = "\n" + stats;
+  const size_t at = text.find("\n" + key + "=");
+  if (at == std::string::npos) return -1;
+  const size_t start = at + key.size() + 2;
+  return std::stoll(text.substr(start, text.find('\n', start) - start));
+}
+
+/// 16 ids the base set lacks (x % 27 == 6).
+std::vector<uint64_t> SixteenFreshIds() {
+  std::vector<uint64_t> ids;
+  for (uint64_t j = 0; j < 16; ++j) ids.push_back(6 + 27 * j);
+  return ids;
+}
+
+TEST(ServerTest, InsertFrameIsOneCommitGroupAndOneFsync) {
+  // The daemon applies a whole INSERT frame through one ApplyBatch: one
+  // log batch and one fsync for its 16 ids, not one of each per id.
+  ServerHarness h;
+  h.Start("onegroup");
+  auto client = QuickClient(h.server->address(), /*max_retries=*/0);
+  ASSERT_TRUE(client.ok());
+  auto before = client.value()->Stats();
+  ASSERT_TRUE(before.ok());
+  const std::vector<uint64_t> ids = SixteenFreshIds();
+  ASSERT_TRUE(client.value()->Insert(ids).ok());
+  auto after = client.value()->Stats();
+  ASSERT_TRUE(after.ok());
+  for (const char* key : {"pipeline.commit_groups", "pipeline.fsyncs"}) {
+    ASSERT_GE(StatValue(before.value(), key), 0) << key;
+    EXPECT_EQ(StatValue(after.value(), key),
+              StatValue(before.value(), key) + 1)
+        << key;
+  }
+  const auto occupied = h.pipeline->tree_handle()->occupied();
+  for (uint64_t id : ids) {
+    EXPECT_TRUE(std::binary_search(occupied.begin(), occupied.end(), id))
+        << id;
+  }
+}
+
+TEST(ServerTest, InsertFrameRefusalAppliesThePrefix) {
+  // The 5th id is outside the namespace: the 4 before it are logged and
+  // applied as one group, the rest never reach the log, and the reply
+  // says how far the frame got.
+  ServerHarness h;
+  h.Start("prefix");
+  auto client = QuickClient(h.server->address(), /*max_retries=*/0);
+  ASSERT_TRUE(client.ok());
+  std::vector<uint64_t> ids = SixteenFreshIds();
+  ids[4] = GoldenConfig().namespace_size + 7;
+  auto before = client.value()->Stats();
+  ASSERT_TRUE(before.ok());
+  const Status st = client.value()->Insert(ids);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("applied 4/16"), std::string::npos)
+      << st.ToString();
+  auto after = client.value()->Stats();
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(StatValue(after.value(), "pipeline.commit_groups"),
+            StatValue(before.value(), "pipeline.commit_groups") + 1);
+  const auto occupied = h.pipeline->tree_handle()->occupied();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(std::binary_search(occupied.begin(), occupied.end(), ids[i]),
+              i < 4)
+        << "id " << ids[i] << " at " << i;
+  }
 }
 
 /// Sends one request frame on a raw connection and reads its response.
