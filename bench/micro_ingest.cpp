@@ -1,10 +1,14 @@
 // Microbenchmark for crash-safe ingest: what does durability cost per
-// insert? Dynamic inserts append to the sidecar write-ahead log before
-// mutating the tree (core/wal.h), and the WalSyncPolicy decides how often
-// the log is fsynced — the whole acknowledged-equals-durable spectrum:
+// insert? Durable inserts go through an IngestPipeline, which appends each
+// record to the sidecar write-ahead log before it mutates the tree
+// (core/wal.h). The per-policy legs drive a one-writer pipeline with one
+// Insert per id — one commit group per record — and the WalSyncPolicy
+// decides how often the log is fsynced — the whole acknowledged-equals-
+// durable spectrum:
 //
-//   * no-wal    — in-memory Insert only, nothing logged (the upper bound;
-//                 a crash loses everything since the last snapshot)
+//   * no-wal    — in-memory BloomSampleTree::Insert only, nothing logged
+//                 (the upper bound; a crash loses everything since the
+//                 last snapshot)
 //   * none      — log appends ride the page cache, never fsynced by the
 //                 writer (a crash loses the unsynced suffix)
 //   * interval  — fsync every 64 records (bounded loss window)
@@ -112,20 +116,26 @@ int main() {
     heap.mode = LoadMode::kHeap;
     auto loaded = LoadTreeFromFile(path, heap);
     BSR_CHECK(loaded.ok(), "micro_ingest: load");
-    BloomSampleTree tree = std::move(loaded).value();
+    auto tree =
+        std::make_shared<BloomSampleTree>(std::move(loaded).value());
+    std::unique_ptr<IngestPipeline> pipeline;
     if (spec.use_wal) {
-      WalOptions wal_options;
-      wal_options.policy = spec.policy;
-      BSR_CHECK(AttachTreeWal(&tree, path, wal_options).ok(),
-                "micro_ingest: attach wal");
+      IngestPipelineOptions options;
+      options.wal.policy = spec.policy;
+      auto opened = IngestPipeline::OpenTree(tree, path, options);
+      BSR_CHECK(opened.ok(), "micro_ingest: pipeline open");
+      pipeline = std::move(opened).value();
     }
 
     Timer timer;
     for (uint64_t id : fresh) {
-      BSR_CHECK(tree.Insert(id).ok(), "micro_ingest: insert");
+      const Status inserted =
+          pipeline != nullptr ? pipeline->Insert(id) : tree->Insert(id);
+      BSR_CHECK(inserted.ok(), "micro_ingest: insert");
     }
-    if (tree.wal() != nullptr) {
-      BSR_CHECK(tree.wal()->Sync().ok(), "micro_ingest: final sync");
+    if (pipeline != nullptr) {
+      // Close fences the log: the kInterval/kNone tail is durable too.
+      BSR_CHECK(pipeline->Close().ok(), "micro_ingest: pipeline close");
     }
     const double ingest_ms = timer.ElapsedMillis();
 

@@ -621,39 +621,20 @@ Status BloomSampleForest::EnableCountingLeaves() {
   return Status::OK();
 }
 
-Status AttachForestWals(BloomSampleForest* forest, const std::string& path,
-                        const WalOptions& wal_options,
-                        const ForestLoadInfo* info) {
-  BSR_CHECK(forest != nullptr, "AttachForestWals: null forest");
-  const uint64_t fingerprint = WalConfigFingerprint(forest->config().tree);
-  for (uint32_t s = 0; s < forest->shard_count(); ++s) {
-    const uint64_t replayed =
-        info != nullptr && s < info->shards.size()
-            ? info->shards[s].wal_records_replayed
-            : 0;
-    auto writer = WalWriter::Open(WalPathFor(ForestShardPath(path, s)),
-                                  fingerprint, replayed + 1, wal_options);
-    if (!writer.ok()) return writer.status();
-    forest->mutable_shard(s)->AttachWal(std::move(writer).value());
-  }
-  return Status::OK();
-}
-
-Status CompactForest(BloomSampleForest* forest, const std::string& path) {
+Status CompactForest(const BloomSampleForest& forest,
+                     const std::string& path) {
   return CompactForest(forest, path, SaveOptions());
 }
 
-Status CompactForest(BloomSampleForest* forest, const std::string& path,
+Status CompactForest(const BloomSampleForest& forest, const std::string& path,
                      const SaveOptions& options) {
-  BSR_CHECK(forest != nullptr, "CompactForest: null forest");
   // Manifest first — see the header comment for why this ordering keeps
   // every kill point loadable.
   FileSystem* fs = options.fs != nullptr ? options.fs : FileSystem::Default();
-  Status st = WriteManifestDurable(*forest, path, fs);
+  Status st = WriteManifestDurable(forest, path, fs);
   if (!st.ok()) return st;
-  for (uint32_t s = 0; s < forest->shard_count(); ++s) {
-    st = CompactTree(forest->mutable_shard(s), ForestShardPath(path, s),
-                     options);
+  for (uint32_t s = 0; s < forest.shard_count(); ++s) {
+    st = CompactTree(forest.shard(s), ForestShardPath(path, s), options);
     if (!st.ok()) return st;
   }
   return Status::OK();

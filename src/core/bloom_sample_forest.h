@@ -89,14 +89,14 @@ class BloomSampleForest {
                                             : config_.tree.namespace_size;
   }
   const BloomSampleTree& shard(uint32_t s) const { return shards_[s]; }
-  /// Mutable shard access for ingest paths (WAL attach, compaction).
+  /// Mutable shard access for ingest paths (IngestPipeline lanes).
   BloomSampleTree* mutable_shard(uint32_t s) { return &shards_[s]; }
 
   /// Dynamically marks `x` as occupied: one division routes it to its
-  /// shard, whose tree does the ordinary pruned Insert (logged first when
-  /// that shard has a WAL attached — see AttachForestWals). Same caveats
-  /// as BloomSampleTree::Insert: quiesce queries; per-query contexts go
-  /// stale.
+  /// shard, whose tree does the ordinary pruned Insert. In-memory only,
+  /// like BloomSampleTree::Insert — IngestPipeline::OpenForest logs
+  /// durable inserts into per-shard logs. Same caveats: quiesce queries;
+  /// per-query contexts go stale.
   Status Insert(uint64_t x);
 
   /// Dynamically removes `x`: one division routes it to its shard, whose
@@ -262,24 +262,18 @@ Status SaveForestToFile(const BloomSampleForest& forest,
 /// the CLI's format sniff.
 bool IsForestManifest(const std::string& path);
 
-/// Opens (creating if absent) one sidecar log per shard — at
-/// WalPathFor(ForestShardPath(path, s)) — and attaches each to its shard
-/// tree. Call after LoadForestFromFile (whose per-shard replay counts,
-/// from `info`, seed the sequence numbers; pass nullptr for a freshly
-/// built forest with no logs yet). `wal_options` applies to every shard.
-Status AttachForestWals(BloomSampleForest* forest, const std::string& path,
-                        const WalOptions& wal_options,
-                        const ForestLoadInfo* info = nullptr);
-
 /// Forest-wide compaction. Writes the manifest FIRST (durably), then
-/// compacts every shard (CompactTree: atomic image swap, then log reset).
+/// compacts every shard (CompactTree: atomic image swap, then the shard's
+/// log truncated to its header). `forest` must hold every shard's image
+/// plus its replayed log (LoadForestFromFile with replay).
 /// That order keeps every crash point loadable: a shard whose compaction
 /// never ran still replays its full log, reaching exactly the in-memory
 /// state the new manifest describes; a compacted shard's image already
 /// holds it. (The loader skips its manifest-shape cross-check for shards
 /// that replayed records, since replay legitimately grows them.)
-Status CompactForest(BloomSampleForest* forest, const std::string& path);
-Status CompactForest(BloomSampleForest* forest, const std::string& path,
+Status CompactForest(const BloomSampleForest& forest,
+                     const std::string& path);
+Status CompactForest(const BloomSampleForest& forest, const std::string& path,
                      const SaveOptions& options);
 
 Result<BloomSampleForest> LoadForestFromFile(const std::string& path);

@@ -72,7 +72,7 @@ void GroupCommitWal::ReplaceWal(std::unique_ptr<WalWriter> wal) {
   // Close the old writer best-effort: its records were either fenced (in
   // which case the reload just replayed them) or NACKed under a latch the
   // fresh writer supersedes — a close failure here has nothing to latch.
-  if (wal_ != nullptr) (void)wal_->Close();
+  (void)wal_->Close();
   wal_ = std::move(wal);
   latch_ = Status::OK();
   latch_cause_ = Status::OK();
@@ -111,7 +111,6 @@ Status GroupCommitWal::TryRecover() {
         "latched mid-rotation: the log's location is ambiguous, refusing "
         "automatic recovery (" + latch_cause_.ToString() + ")");
   }
-  if (wal_ == nullptr) return latch_;  // writer detached; nothing to probe
   // mu_ held throughout: no leader can start (CommitInternal fails fast on
   // latch_, and a pre-latch queued waiter needs mu_ to become leader), so
   // the writer is exclusively ours — same discipline as Rotate.
@@ -191,7 +190,6 @@ Status GroupCommitWal::CommitInternal(const std::vector<WalMutation>* muts,
     latch_cause_ = round;
   }
   const bool policy_fences =
-      wal_ != nullptr &&
       wal_->options().policy == WalSyncPolicy::kEveryRecord;
   for (Batch* b : group) {
     if (round.ok()) {

@@ -1,5 +1,6 @@
 #include "src/core/ingest_pipeline.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <utility>
 
@@ -45,11 +46,6 @@ Result<std::unique_ptr<IngestPipeline>> IngestPipeline::OpenTree(
         "ingest pipeline requires a pruned tree (complete trees already "
         "store the whole namespace)");
   }
-  if (tree->wal() != nullptr) {
-    return Status::InvalidArgument(
-        "tree already has an attached WAL; the pipeline owns the log — load "
-        "the tree without AttachTreeWal and pass the replayed count here");
-  }
   const uint64_t ns = tree->config().namespace_size;
   std::unique_ptr<IngestPipeline> p(
       new IngestPipeline(options, ns, /*lane_width=*/ns));
@@ -88,11 +84,6 @@ Result<std::unique_ptr<IngestPipeline>> IngestPipeline::OpenForest(
     auto lane = std::make_unique<Lane>();
     lane->path = ForestShardPath(path, s);
     lane->tree = forest->mutable_shard(s);
-    if (lane->tree->wal() != nullptr) {
-      return Status::InvalidArgument(
-          "forest shards already have attached WALs; the pipeline owns the "
-          "logs — skip AttachForestWals and pass the load info here");
-    }
     const uint64_t next_seq =
         info != nullptr && s < info->shards.size()
             ? info->shards[s].wal_records_replayed + 1
@@ -184,6 +175,19 @@ Status IngestPipeline::Validate(const Lane& lane,
   return Status::OK();
 }
 
+bool IngestPipeline::IsNoOp(const BloomSampleTree& tree,
+                            const WalMutation& mut,
+                            std::unordered_set<uint64_t>* seen) {
+  // Only an id's first mutation in a run is judged against the tree: a
+  // later one follows a mutation that is not committed yet, so whether it
+  // changes anything is not known until that one lands.
+  if (!seen->insert(mut.id).second) return false;
+  const std::vector<uint64_t>& occupied = tree.occupied();
+  const bool present =
+      std::binary_search(occupied.begin(), occupied.end(), mut.id);
+  return present == (mut.op != WalOp::kRemove);
+}
+
 Status IngestPipeline::ApplyToTreeLocked(Lane* lane, const WalMutation& mut) {
   const Status st = mut.op == WalOp::kRemove ? lane->tree->Remove(mut.id)
                                              : lane->tree->Insert(mut.id);
@@ -242,21 +246,44 @@ Status IngestPipeline::ApplyBatch(const std::vector<WalMutation>& muts,
       // against the pre-rotation log whose mutation has not reached the
       // tree yet (see CompactionBody step 2).
       std::shared_lock<std::shared_mutex> window = LockWindow(lane);
-      const Status st = lane.commit->Commit(run);
-      if (!st.ok()) return st;
-      if (apply_pause_) apply_pause_();
-      std::unique_lock<std::shared_mutex> lock = LockExclusive(&lane);
-      // Every logged record is applied, even past a failure: replay will
-      // apply them all, and the live tree must match what it recovers.
+      // No-ops are dropped before logging, inside the window so no swap
+      // can change the tree they were judged against. They count as
+      // applied, and a run of nothing but no-ops opens no commit group.
+      uint32_t noops = 0;
+      {
+        std::unordered_set<uint64_t> seen;
+        // A plain shared hold, not LockShared: the check is brief, and
+        // yielding to every queued writer would serialize committers.
+        std::shared_lock<std::shared_mutex> lock(lane.tree_mu);
+        size_t kept = 0;
+        for (const WalMutation& mut : run) {
+          if (IsNoOp(*lane.tree, mut, &seen)) {
+            ++noops;
+          } else {
+            run[kept++] = mut;
+          }
+        }
+        run.resize(kept);
+      }
       Status first;
-      for (const WalMutation& mut : run) {
-        const Status st_apply = ApplyToTreeLocked(&lane, mut);
-        if (st_apply.ok()) {
-          ++reached;
-        } else if (first.ok()) {
-          first = st_apply;
+      if (!run.empty()) {
+        const Status st = lane.commit->Commit(run);
+        if (!st.ok()) return st;
+        if (apply_pause_) apply_pause_();
+        std::unique_lock<std::shared_mutex> lock = LockExclusive(&lane);
+        // Every logged record is applied, even past a failure: replay
+        // will apply them all, and the live tree must match what it
+        // recovers.
+        for (const WalMutation& mut : run) {
+          const Status st_apply = ApplyToTreeLocked(&lane, mut);
+          if (st_apply.ok()) {
+            ++reached;
+          } else if (first.ok()) {
+            first = st_apply;
+          }
         }
       }
+      reached += noops;
       if (!first.ok()) return first;
     }
     if (!refused.ok()) return refused;
@@ -485,38 +512,52 @@ void IngestPipeline::WriterLoop(Lane* lane) {
         if (!pre.ok()) {
           p.skip = true;
           if (p.ack != nullptr) p.ack->set_value(pre);
-          continue;
         }
-        muts.push_back(p.mut);
       }
-      if (!muts.empty()) {
-        // One Commit per drained segment: under kEveryRecord the whole
-        // segment shares one fsync even with a single producer — the
-        // queue is itself a batching stage in front of group commit.
-        // The rotation window spans commit→apply exactly like the sync
-        // path: compaction cannot snapshot between this segment's
-        // acknowledgement and its tree mutations.
+      if (j > i) {
+        // The rotation window spans no-op check→commit→apply exactly like
+        // the sync path: compaction cannot snapshot between this
+        // segment's acknowledgement and its tree mutations.
         std::shared_lock<std::shared_mutex> window = LockWindow(*lane);
-        const Status st = lane->commit->Commit(muts);
-        if (st.ok()) {
-          std::unique_lock<std::shared_mutex> lock = LockExclusive(lane);
+        {
+          std::unordered_set<uint64_t> seen;
+          std::shared_lock<std::shared_mutex> lock(lane->tree_mu);
           for (size_t k = i; k < j; ++k) {
             Pending& p = batch[k];
             if (p.skip) continue;
-            const Status applied = ApplyToTreeLocked(lane, p.mut);
-            if (p.ack != nullptr) p.ack->set_value(applied);
+            if (IsNoOp(*lane->tree, p.mut, &seen)) {
+              p.skip = true;
+              if (p.ack != nullptr) p.ack->set_value(Status::OK());
+            } else {
+              muts.push_back(p.mut);
+            }
           }
-        } else {
-          for (size_t k = i; k < j; ++k) {
-            Pending& p = batch[k];
-            if (!p.skip && p.ack != nullptr) p.ack->set_value(st);
+        }
+        if (!muts.empty()) {
+          // One Commit per drained segment: under kEveryRecord the whole
+          // segment shares one fsync even with a single producer — the
+          // queue is itself a batching stage in front of group commit.
+          const Status st = lane->commit->Commit(muts);
+          if (st.ok()) {
+            std::unique_lock<std::shared_mutex> lock = LockExclusive(lane);
+            for (size_t k = i; k < j; ++k) {
+              Pending& p = batch[k];
+              if (p.skip) continue;
+              const Status applied = ApplyToTreeLocked(lane, p.mut);
+              if (p.ack != nullptr) p.ack->set_value(applied);
+            }
+          } else {
+            for (size_t k = i; k < j; ++k) {
+              Pending& p = batch[k];
+              if (!p.skip && p.ack != nullptr) p.ack->set_value(st);
+            }
+            // The queue deliberately stays OPEN on a latch: Push already
+            // fails fast via read_only(), queued work keeps draining (and
+            // nacking) here, and — the point — the recovery supervisor
+            // can clear a transient latch and this same thread then
+            // commits new durable writes without a restart. Closing the
+            // queue would kill the writer and make every latch terminal.
           }
-          // The queue deliberately stays OPEN on a latch: Push already
-          // fails fast via read_only(), queued work keeps draining (and
-          // nacking) here, and — the point — the recovery supervisor can
-          // clear a transient latch and this same thread then commits new
-          // durable writes without a restart. Closing the queue would
-          // kill the writer and make every latch terminal.
         }
       }
       if (j < batch.size()) {
@@ -775,11 +816,8 @@ Status IngestPipeline::Close() {
       const Status st = lane->commit->Fence();
       if (first.ok() && !st.ok()) first = st;
     }
-    WalWriter* wal = lane->commit->wal();
-    if (wal != nullptr) {
-      const Status st = wal->Close();
-      if (first.ok() && !st.ok()) first = st;
-    }
+    const Status st = lane->commit->wal()->Close();
+    if (first.ok() && !st.ok()) first = st;
   }
   return first;
 }

@@ -1,5 +1,6 @@
-// Concurrent crash-safe ingest: the layer that lets Insert/Remove run
-// under live query traffic without giving up PR 7's durability story.
+// Crash-safe ingest, the one path by which tree mutations become durable
+// (the CLI's insert/remove, the serving daemon, the benches), and the
+// layer that lets Insert/Remove run under live query traffic.
 //
 // Topology (one LANE per shard; a bare tree is a one-lane pipeline):
 //
@@ -67,6 +68,7 @@
 #include <shared_mutex>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "src/core/bloom_sample_forest.h"
@@ -147,21 +149,24 @@ struct IngestPipelineStats {
 
 class IngestPipeline {
  public:
-  /// Single-tree pipeline (one lane). The pipeline takes shared ownership
-  /// of `tree` — compaction swaps the live tree, so access it through
-  /// AcquireRead()/tree_handle(), not a stale raw pointer. The tree must
-  /// be pruned, must NOT have its own WAL attached (the pipeline owns the
-  /// log), and replay must already have happened: pass the loader's
-  /// `wal_records_replayed + 1` as `next_wal_seq` (1 for a fresh tree).
+  /// Single-tree pipeline (one lane) — the only way to make mutations
+  /// durable. The pipeline takes shared ownership of `tree` — compaction
+  /// swaps the live tree, so access it through AcquireRead()/tree_handle(),
+  /// not a stale raw pointer. The tree must be pruned (a complete tree is
+  /// refused before any log is opened or created), and replay must
+  /// already have happened: pass the loader's `wal_records_replayed + 1`
+  /// as `next_wal_seq` (1 for a fresh tree). Opens `path + ".wal"`,
+  /// creating it if absent, and appends behind the replayed records.
   static Result<std::unique_ptr<IngestPipeline>> OpenTree(
       std::shared_ptr<BloomSampleTree> tree, std::string path,
       const IngestPipelineOptions& options, uint64_t next_wal_seq = 1);
 
-  /// Forest pipeline: one lane per shard, mutations routed by ShardOf.
-  /// Shards are borrowed — the forest must outlive the pipeline — and
-  /// background compaction is unsupported (quiesce via Close(), then
-  /// CompactForest). `info` (from LoadForestFromFile) seeds per-shard
-  /// sequence numbers; nullptr for a freshly built forest.
+  /// Forest pipeline: one lane per shard, mutations routed by ShardOf,
+  /// each lane logging to its shard image's own `.wal`. Shards are
+  /// borrowed — the forest must outlive the pipeline — and background
+  /// compaction is unsupported (quiesce via Close(), then CompactForest).
+  /// The forest must be pruned. `info` (from LoadForestFromFile) seeds
+  /// per-shard sequence numbers; nullptr for a freshly built forest.
   static Result<std::unique_ptr<IngestPipeline>> OpenForest(
       BloomSampleForest* forest, std::string path,
       const IngestPipelineOptions& options,
@@ -175,7 +180,8 @@ class IngestPipeline {
 
   /// Durably logs and applies one mutation; returns after the ack rule of
   /// the sync policy is met (kEveryRecord: the covering fsync returned).
-  /// A one-element ApplyBatch.
+  /// A one-element ApplyBatch: an insert of a present id or a remove of an
+  /// absent one is acknowledged without being logged.
   Status Insert(uint64_t x);
   Status Remove(uint64_t x);
   Status Apply(const WalMutation& mut);
@@ -186,9 +192,12 @@ class IngestPipeline {
   /// commit→apply window and one exclusive tree hold. Validation runs per
   /// mutation before logging; the first refusal ends the batch after the
   /// valid prefix of its run is committed and applied, and is returned.
-  /// A commit failure (read-only latch) returns at once with that run
-  /// unapplied. `applied` (optional) receives how many mutations reached
-  /// the tree — on a refusal, the length of the applied prefix.
+  /// No-ops — an insert of a present id, a remove of an absent one, each
+  /// the first mutation of its id in the run — are dropped before
+  /// logging and count as applied; a run of nothing but no-ops opens no
+  /// commit group. A commit failure (read-only latch) returns at once with
+  /// that run unapplied. `applied` (optional) receives how many mutations
+  /// reached the tree — on a refusal, the length of the applied prefix.
   Status ApplyBatch(const std::vector<WalMutation>& muts,
                     uint32_t* applied);
 
@@ -326,7 +335,7 @@ class IngestPipeline {
     WalMutation mut;
     std::shared_ptr<std::promise<Status>> ack;  ///< null = fire-and-forget
     bool fence = false;  ///< Flush barrier marker (mut ignored)
-    bool skip = false;   ///< failed validation; already acked
+    bool skip = false;   ///< refused or a no-op; already acked
   };
 
   struct Lane {
@@ -382,6 +391,11 @@ class IngestPipeline {
   /// waiting writer via `writers_waiting`; LockShared defers to it.
   static std::unique_lock<std::shared_mutex> LockExclusive(Lane* lane);
   static std::shared_lock<std::shared_mutex> LockShared(const Lane& lane);
+  /// True when `mut` would leave `tree` unchanged and is the first
+  /// mutation of its id in `seen` (the run so far) — such a mutation is
+  /// acknowledged without being logged. Caller holds the lane's tree_mu.
+  static bool IsNoOp(const BloomSampleTree& tree, const WalMutation& mut,
+                     std::unordered_set<uint64_t>* seen);
   /// Caller holds lane.tree_mu exclusive.
   Status ApplyToTreeLocked(Lane* lane, const WalMutation& mut);
   /// Shared hold over one commit→apply window (see Lane::window_mu).

@@ -1132,27 +1132,13 @@ Status SaveTreeToFile(const BloomSampleTree& tree, const std::string& path,
   return fs->SyncDirOf(path);
 }
 
-Status AttachTreeWal(BloomSampleTree* tree, const std::string& path,
-                     const WalOptions& wal_options, const TreeLoadInfo* info) {
-  BSR_CHECK(tree != nullptr, "AttachTreeWal: null tree");
-  const uint64_t replayed =
-      info != nullptr ? info->wal_records_replayed : 0;
-  auto writer = WalWriter::Open(WalPathFor(path),
-                                WalConfigFingerprint(tree->config()),
-                                replayed + 1, wal_options);
-  if (!writer.ok()) return writer.status();
-  tree->AttachWal(std::move(writer).value());
-  return Status::OK();
-}
-
-Status CompactTree(BloomSampleTree* tree, const std::string& path) {
+Status CompactTree(const BloomSampleTree& tree, const std::string& path) {
   return CompactTree(tree, path, SaveOptions());
 }
 
-Status CompactTree(BloomSampleTree* tree, const std::string& path,
+Status CompactTree(const BloomSampleTree& tree, const std::string& path,
                    const SaveOptions& options) {
-  BSR_CHECK(tree != nullptr, "CompactTree: null tree");
-  Status st = SaveTreeToFile(*tree, path, options);
+  Status st = SaveTreeToFile(tree, path, options);
   if (!st.ok()) return st;
   // The new image is durable from here on; shrinking the logs can no
   // longer lose anything (and a crash before the shrink just replays the
@@ -1166,12 +1152,18 @@ Status CompactTree(BloomSampleTree* tree, const std::string& path,
     if (st.ok()) st = fs->SyncDirOf(old_wal_path);
     if (!st.ok()) return st;
   }
-  if (tree->wal() != nullptr) return tree->wal()->Reset();
   const std::string wal_path = WalPathFor(path);
   if (!fs->FileExists(wal_path)) return Status::OK();
-  st = fs->RemoveFile(wal_path);
-  if (!st.ok()) return st;
-  return fs->SyncDirOf(wal_path);
+  // Reset in place rather than remove: the header is validated against
+  // the tree's fingerprint first, and the log keeps its inode.
+  WalOptions wal_options;
+  wal_options.fs = fs;
+  auto wal = WalWriter::Open(wal_path, WalConfigFingerprint(tree.config()),
+                             /*next_seq=*/1, wal_options);
+  if (!wal.ok()) return wal.status();
+  st = wal.value()->Reset();
+  const Status closed = wal.value()->Close();
+  return st.ok() ? closed : st;
 }
 
 LoadOptions LoadOptions::FromEnv() {

@@ -360,7 +360,7 @@ Result<WalReplayStats> ReplayWal(
     if (rec.op == WalOp::kNoop) {
       // Recovery probe: mutates nothing, but counts like any record — it
       // consumed a sequence number, and records_replayed seeds the next
-      // writer's seq (AttachTreeWal passes replayed + 1).
+      // writer's seq (IngestPipeline::OpenTree takes replayed + 1).
       ++expected_seq;
       ++stats.records_replayed;
       offset += 4 + len + 8;

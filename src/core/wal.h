@@ -110,9 +110,9 @@ std::string OldWalPathFor(const std::string& snapshot_path);
 uint64_t WalConfigFingerprint(const TreeConfig& config);
 
 /// Appends checksummed records to a log file. Single writer per log, NOT
-/// thread-safe — the tree owns its writer (BloomSampleTree::AttachWal);
-/// concurrent committers go through GroupCommitWal, which funnels every
-/// append through one leader at a time.
+/// thread-safe — mutations reach it through GroupCommitWal (owned by an
+/// IngestPipeline lane), which funnels every append through one leader at
+/// a time; compaction opens one briefly to reset the log.
 class WalWriter {
  public:
   /// Opens `path` for appending. A missing or header-less file is created

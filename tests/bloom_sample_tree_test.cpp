@@ -278,17 +278,17 @@ TEST(BloomSampleTreeTest, InsertKeepsCountsExactOnEveryLoadPath) {
       EXPECT_EQ(Draws(tree, final_set), want) << where << " seed=" << seed;
     }
 
-    // Log the same inserts, then rebuild the tree by WAL replay on both
-    // load paths.
+    // Log the same inserts (no-ops included: replay skips them as Insert
+    // does), then rebuild the tree by WAL replay on both load paths.
     {
-      LoadOptions load;
-      load.mode = LoadMode::kHeap;
-      TreeLoadInfo info;
-      auto loaded = LoadTreeFromFile(path, load, &info);
-      ASSERT_TRUE(loaded.ok());
-      BloomSampleTree tree = std::move(loaded).value();
-      ASSERT_TRUE(AttachTreeWal(&tree, path, WalOptions(), &info).ok());
-      for (uint64_t x : inserts) ASSERT_TRUE(tree.Insert(x).ok());
+      auto wal = WalWriter::Open(WalPathFor(path),
+                                 WalConfigFingerprint(config),
+                                 /*next_seq=*/1, WalOptions());
+      ASSERT_TRUE(wal.ok());
+      for (uint64_t x : inserts) {
+        ASSERT_TRUE(wal.value()->Append(WalOp::kInsert, x).ok());
+      }
+      ASSERT_TRUE(wal.value()->Close().ok());
     }
     for (const LoadMode mode : {LoadMode::kHeap, LoadMode::kMmap}) {
       const char* where = mode == LoadMode::kHeap ? "replay-heap"

@@ -93,6 +93,20 @@ std::vector<uint64_t> SortedUnion(std::vector<uint64_t> base,
   return base;
 }
 
+/// Appends one kInsert record per id to the fresh sidecar log of the
+/// snapshot at `path` (sequence numbers from 1), fenced and closed — the
+/// records a completed ingest would have left.
+void LogInserts(const std::string& path, const std::vector<uint64_t>& ids) {
+  auto wal = WalWriter::Open(WalPathFor(path),
+                             WalConfigFingerprint(GoldenConfig()),
+                             /*next_seq=*/1, WalOptions());
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  for (uint64_t id : ids) {
+    ASSERT_TRUE(wal.value()->Append(WalOp::kInsert, id).ok());
+  }
+  ASSERT_TRUE(wal.value()->Close().ok());
+}
+
 void ExpectTreesIdentical(const BloomSampleTree& a, const BloomSampleTree& b) {
   EXPECT_EQ(a.occupied(), b.occupied());
   ASSERT_EQ(a.node_count(), b.node_count());
@@ -117,24 +131,31 @@ TEST(CrashMatrixTest, IngestDiesAtEveryKillPoint) {
   const std::string snapshot_bytes = ReadFileBytes(path);
   const std::vector<uint64_t> extras = ExtraIds();
 
-  // The sequence under test: open the snapshot, attach a fresh log with
-  // the strictest policy, ingest. Stops at the first error, like a
-  // process whose machine just died.
+  // The sequence under test: open the snapshot, open a one-writer
+  // pipeline on a fresh log with the strictest policy, ingest one id per
+  // commit. Stops at the first error, like a process whose machine just
+  // died.
   auto run = [&](FaultInjectingFileSystem* fs, std::vector<uint64_t>* acked) {
     LoadOptions load_options;
     load_options.fs = fs;
     TreeLoadInfo info;
     auto loaded = LoadTreeFromFile(path, load_options, &info);
     if (!loaded.ok()) return;
-    BloomSampleTree tree = std::move(loaded).value();
-    WalOptions wal_options;
-    wal_options.policy = WalSyncPolicy::kEveryRecord;
-    wal_options.fs = fs;
-    if (!AttachTreeWal(&tree, path, wal_options, &info).ok()) return;
+    IngestPipelineOptions options;
+    options.wal.policy = WalSyncPolicy::kEveryRecord;
+    options.wal.fs = fs;
+    options.save.fs = fs;
+    options.commit.max_repair_attempts = 2;
+    options.commit.backoff_base = std::chrono::microseconds(1);
+    auto pipeline = IngestPipeline::OpenTree(
+        std::make_shared<BloomSampleTree>(std::move(loaded).value()), path,
+        options, info.wal_records_replayed + 1);
+    if (!pipeline.ok()) return;
     for (uint64_t id : extras) {
-      if (!tree.Insert(id).ok()) return;
+      if (!pipeline.value()->Insert(id).ok()) break;
       acked->push_back(id);
     }
+    (void)pipeline.value()->Close();  // post-crash close errors are expected
   };
 
   auto restore = [&]() {
@@ -197,29 +218,23 @@ TEST(CrashMatrixTest, CompactionDiesAtEveryKillPoint) {
   {
     auto built = BloomSampleTree::BuildPruned(GoldenConfig(), BaseOccupied());
     ASSERT_TRUE(built.ok());
-    BloomSampleTree tree = std::move(built).value();
-    ASSERT_TRUE(SaveTreeToFile(tree, path).ok());
-    ASSERT_TRUE(AttachTreeWal(&tree, path, WalOptions()).ok());
-    for (uint64_t id : extras) ASSERT_TRUE(tree.Insert(id).ok());
+    ASSERT_TRUE(SaveTreeToFile(built.value(), path).ok());
+    LogInserts(path, extras);
   }
   const std::string old_image = ReadFileBytes(path);
   const std::string full_log = ReadFileBytes(wal_path);
   const std::vector<uint64_t> expected =
       SortedUnion(BaseOccupied(), extras);
 
+  // `bsr compact`: load with replay, then compact with no writer open.
   auto run = [&](FaultInjectingFileSystem* fs) {
     LoadOptions load_options;
     load_options.fs = fs;
-    TreeLoadInfo info;
-    auto loaded = LoadTreeFromFile(path, load_options, &info);
+    auto loaded = LoadTreeFromFile(path, load_options);
     if (!loaded.ok()) return;
-    BloomSampleTree tree = std::move(loaded).value();
-    WalOptions wal_options;
-    wal_options.fs = fs;
-    if (!AttachTreeWal(&tree, path, wal_options, &info).ok()) return;
     SaveOptions save_options;
     save_options.fs = fs;
-    (void)CompactTree(&tree, path, save_options);
+    (void)CompactTree(loaded.value(), path, save_options);
   };
 
   auto restore = [&]() {
@@ -361,8 +376,13 @@ TEST(CrashMatrixTest, ForestCompactionDiesAtEveryKillPoint) {
     ASSERT_TRUE(built.ok());
     BloomSampleForest forest = std::move(built).value();
     ASSERT_TRUE(SaveForestToFile(forest, path).ok());
-    ASSERT_TRUE(AttachForestWals(&forest, path, WalOptions()).ok());
-    for (uint64_t id : extras) ASSERT_TRUE(forest.Insert(id).ok());
+    auto pipeline =
+        IngestPipeline::OpenForest(&forest, path, IngestPipelineOptions());
+    ASSERT_TRUE(pipeline.ok());
+    for (uint64_t id : extras) {
+      ASSERT_TRUE(pipeline.value()->Insert(id).ok());
+    }
+    ASSERT_TRUE(pipeline.value()->Close().ok());
   }
   std::vector<std::string> files = {path, ForestShardPath(path, 0),
                                     ForestShardPath(path, 1),
@@ -376,16 +396,11 @@ TEST(CrashMatrixTest, ForestCompactionDiesAtEveryKillPoint) {
   auto run = [&](FaultInjectingFileSystem* fs) {
     LoadOptions load_options;
     load_options.fs = fs;
-    ForestLoadInfo info;
-    auto loaded = LoadForestFromFile(path, load_options, &info);
+    auto loaded = LoadForestFromFile(path, load_options);
     if (!loaded.ok()) return;
-    BloomSampleForest forest = std::move(loaded).value();
-    WalOptions wal_options;
-    wal_options.fs = fs;
-    if (!AttachForestWals(&forest, path, wal_options, &info).ok()) return;
     SaveOptions save_options;
     save_options.fs = fs;
-    (void)CompactForest(&forest, path, save_options);
+    (void)CompactForest(loaded.value(), path, save_options);
   };
 
   auto restore = [&]() {
@@ -672,10 +687,8 @@ TEST(CrashMatrixTest, PipelineCompactionDiesAtEveryKillPoint) {
   {
     auto built = BloomSampleTree::BuildPruned(GoldenConfig(), BaseOccupied());
     ASSERT_TRUE(built.ok());
-    BloomSampleTree tree = std::move(built).value();
-    ASSERT_TRUE(SaveTreeToFile(tree, path).ok());
-    ASSERT_TRUE(AttachTreeWal(&tree, path, WalOptions()).ok());
-    for (uint64_t id : extras) ASSERT_TRUE(tree.Insert(id).ok());
+    ASSERT_TRUE(SaveTreeToFile(built.value(), path).ok());
+    LogInserts(path, extras);
   }
   const std::string old_image = ReadFileBytes(path);
   const std::string full_log = ReadFileBytes(wal_path);

@@ -327,6 +327,68 @@ TEST(IngestPipelineTest, InvalidMutationsRefusedBeforeLogging) {
   EXPECT_EQ(replayed, 1u);
 }
 
+TEST(IngestPipelineTest, NoOpMutationsAreAcknowledgedWithoutLogging) {
+  const std::string path = TempPath("pipe_noop.bst");
+  auto pipeline =
+      IngestPipeline::OpenTree(FreshBase(path), path, DefaultOptions());
+  ASSERT_TRUE(pipeline.ok());
+  IngestPipeline& pipe = *pipeline.value();
+  ASSERT_TRUE(pipe.EnableCountingLeaves().ok());
+  ASSERT_TRUE(pipe.Insert(6).ok());
+  const auto log_bytes = [&] {
+    return FileSystem::Default()->FileSize(WalPathFor(path)).value();
+  };
+  const uint64_t bytes = log_bytes();
+  const IngestPipelineStats before = pipe.Stats();
+
+  // Re-inserts of present ids (base ids and the one just inserted) and
+  // removes of absent ids: all acknowledged and counted as applied, none
+  // logged, no commit group, no fsync.
+  uint32_t applied = 0;
+  ASSERT_TRUE(pipe.ApplyBatch({{WalOp::kInsert, 5},
+                               {WalOp::kInsert, 32},
+                               {WalOp::kInsert, 6},
+                               {WalOp::kRemove, 7},
+                               {WalOp::kRemove, 8}},
+                              &applied)
+                  .ok());
+  EXPECT_EQ(applied, 5u);
+  ASSERT_TRUE(pipe.Insert(59).ok());
+  ASSERT_TRUE(pipe.Remove(9).ok());
+  EXPECT_EQ(log_bytes(), bytes);
+  EXPECT_EQ(pipe.Stats().commit_groups, before.commit_groups);
+  EXPECT_EQ(pipe.Stats().fsyncs, before.fsyncs);
+
+  // A later mutation of an id the run already touched depends on the
+  // earlier one, so it is logged: insert-then-remove of an absent id is
+  // two records (one group); the present id 86 is still skipped.
+  ASSERT_TRUE(pipe.ApplyBatch({{WalOp::kInsert, 7},
+                               {WalOp::kRemove, 7},
+                               {WalOp::kInsert, 86}},
+                              &applied)
+                  .ok());
+  EXPECT_EQ(applied, 3u);
+  EXPECT_EQ(log_bytes(), bytes + 2 * 32);
+  EXPECT_EQ(pipe.Stats().commit_groups, before.commit_groups + 1);
+
+  // The queue path skips no-ops the same way.
+  WalMutation present;
+  present.id = 113;
+  EXPECT_TRUE(pipe.PushWithAck(present).get().ok());
+  EXPECT_EQ(log_bytes(), bytes + 2 * 32);
+  ASSERT_TRUE(pipe.Close().ok());
+
+  TreeLoadInfo info;
+  auto recovered = LoadTreeFromFile(path, LoadOptions(), &info);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(info.wal_records_replayed, 3u);
+  std::set<uint64_t> expected = BaseSet();
+  expected.insert(6);
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
+                         recovered.value().occupied().begin(),
+                         recovered.value().occupied().end()));
+}
+
 TEST(IngestPipelineTest, PersistentFsyncFailureLatchesWritesReadsServe) {
   FaultInjectingFileSystem fs;
   const std::string path = TempPath("pipe_latch.bst");

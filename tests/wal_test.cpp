@@ -23,6 +23,7 @@
 
 #include "src/core/bst_reconstructor.h"
 #include "src/core/bst_sampler.h"
+#include "src/core/ingest_pipeline.h"
 #include "src/core/query_context.h"
 #include "src/core/tree_io.h"
 #include "src/core/wal.h"
@@ -60,8 +61,8 @@ std::vector<uint64_t> ExtraIds() {
 }
 
 /// TempDir() contents survive across runs; a stale snapshot or sidecar
-/// log from a previous run would pollute AttachTreeWal (it appends behind
-/// whatever the file already holds), so every path starts scrubbed.
+/// log from a previous run would pollute the log writers (they append
+/// behind whatever the file already holds), so every path starts scrubbed.
 std::string TempPath(const std::string& name) {
   const std::string path = ::testing::TempDir() + "/" + name;
   std::remove(path.c_str());
@@ -108,23 +109,38 @@ void ExpectTreesIdentical(const BloomSampleTree& a, const BloomSampleTree& b) {
   }
 }
 
-/// Builds the base tree, saves it at `path`, attaches a WAL, and inserts
-/// the first `n_inserts` ExtraIds through it. Returns the in-memory tree
-/// (the "never crashed" reference).
+/// Appends one kInsert record per id to `path`'s sidecar log, sequence
+/// numbers from `next_seq`, each synced per `policy`, then fences and
+/// closes the log.
+void LogInserts(const std::string& path, const TreeConfig& config,
+                const std::vector<uint64_t>& ids, uint64_t next_seq,
+                WalSyncPolicy policy) {
+  WalOptions wal_options;
+  wal_options.policy = policy;
+  auto wal = WalWriter::Open(WalPathFor(path), WalConfigFingerprint(config),
+                             next_seq, wal_options);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  for (uint64_t id : ids) {
+    ASSERT_TRUE(wal.value()->Append(WalOp::kInsert, id).ok());
+  }
+  ASSERT_TRUE(wal.value()->Sync().ok());
+  ASSERT_TRUE(wal.value()->Close().ok());
+}
+
+/// Builds the base tree, saves it at `path`, then logs the first
+/// `n_inserts` ExtraIds to its sidecar log and applies them in memory.
+/// Returns the in-memory tree (the "never crashed" reference).
 BloomSampleTree MakeIngestedTree(const std::string& path, size_t n_inserts,
                                  WalSyncPolicy policy) {
   auto built = BloomSampleTree::BuildPruned(GoldenConfig(), BaseOccupied());
   EXPECT_TRUE(built.ok());
   BloomSampleTree tree = std::move(built).value();
   EXPECT_TRUE(SaveTreeToFile(tree, path).ok());
-  WalOptions wal_options;
-  wal_options.policy = policy;
-  EXPECT_TRUE(AttachTreeWal(&tree, path, wal_options).ok());
   const std::vector<uint64_t> extras = ExtraIds();
-  for (size_t i = 0; i < n_inserts && i < extras.size(); ++i) {
-    EXPECT_TRUE(tree.Insert(extras[i]).ok());
-  }
-  EXPECT_TRUE(tree.wal()->Sync().ok());
+  const std::vector<uint64_t> logged(
+      extras.begin(), extras.begin() + std::min(n_inserts, extras.size()));
+  LogInserts(path, GoldenConfig(), logged, /*next_seq=*/1, policy);
+  for (uint64_t id : logged) EXPECT_TRUE(tree.Insert(id).ok());
   return tree;
 }
 
@@ -297,11 +313,8 @@ TEST(WalTest, FingerprintMismatchRefusesToReplay) {
   TreeConfig other = GoldenConfig();
   other.seed = 43;
   const std::string other_path = TempPath("wal_fingerprint_other.bst");
-  auto other_tree = BloomSampleTree::BuildPruned(other, BaseOccupied());
-  ASSERT_TRUE(other_tree.ok());
-  ASSERT_TRUE(SaveTreeToFile(other_tree.value(), other_path).ok());
-  ASSERT_TRUE(AttachTreeWal(&other_tree.value(), other_path, WalOptions()).ok());
-  ASSERT_TRUE(other_tree.value().Insert(13).ok());
+  LogInserts(other_path, other, {13}, /*next_seq=*/1,
+             WalSyncPolicy::kEveryRecord);
   WriteFileBytes(WalPathFor(path), ReadFileBytes(WalPathFor(other_path)));
 
   auto loaded = LoadTreeFromFile(path);
@@ -315,7 +328,7 @@ TEST(WalTest, CompactionFoldsTheLogAndIngestContinues) {
   BloomSampleTree tree = MakeIngestedTree(path, 6, WalSyncPolicy::kEveryRecord);
   ASSERT_GT(FileBytes(WalPathFor(path)), kWalHeaderBytes);
 
-  ASSERT_TRUE(CompactTree(&tree, path).ok());
+  ASSERT_TRUE(CompactTree(tree, path).ok());
   EXPECT_EQ(FileBytes(WalPathFor(path)), kWalHeaderBytes);
 
   // The image now holds everything; a fresh open replays nothing.
@@ -325,10 +338,17 @@ TEST(WalTest, CompactionFoldsTheLogAndIngestContinues) {
   EXPECT_EQ(info.wal_records_replayed, 0u);
   ExpectTreesIdentical(loaded.value(), tree);
 
-  // Ingest continues through the same writer after compaction.
+  // Ingest continues on the emptied log, through the pipeline.
   const std::vector<uint64_t> extras = ExtraIds();
-  for (size_t i = 6; i < extras.size(); ++i) {
-    ASSERT_TRUE(tree.Insert(extras[i]).ok());
+  {
+    auto pipeline = IngestPipeline::OpenTree(
+        std::make_shared<BloomSampleTree>(std::move(loaded).value()), path,
+        IngestPipelineOptions(), info.wal_records_replayed + 1);
+    ASSERT_TRUE(pipeline.ok());
+    for (size_t i = 6; i < extras.size(); ++i) {
+      ASSERT_TRUE(pipeline.value()->Insert(extras[i]).ok());
+    }
+    ASSERT_TRUE(pipeline.value()->Close().ok());
   }
   auto reopened = LoadTreeFromFile(path, LoadOptions(), &info);
   ASSERT_TRUE(reopened.ok());
@@ -351,19 +371,22 @@ TEST(WalTest, IngestContinuesAfterTornTailRecovery) {
   EXPECT_EQ(info.wal_records_replayed, 5u);
   EXPECT_TRUE(info.wal_recovered_corruption);
 
-  // Recovery hands the tree back for writing: the new writer continues
-  // the sequence right behind the surviving prefix.
-  BloomSampleTree tree = std::move(loaded).value();
-  ASSERT_TRUE(AttachTreeWal(&tree, path, WalOptions(), &info).ok());
+  // Recovery hands the tree back for writing: the pipeline's writer
+  // continues the sequence right behind the surviving prefix.
+  auto pipeline = IngestPipeline::OpenTree(
+      std::make_shared<BloomSampleTree>(std::move(loaded).value()), path,
+      IngestPipelineOptions(), info.wal_records_replayed + 1);
+  ASSERT_TRUE(pipeline.ok());
   const std::vector<uint64_t> extras = ExtraIds();
-  ASSERT_TRUE(tree.Insert(extras[6]).ok());
-  ASSERT_TRUE(tree.Insert(extras[7]).ok());
+  ASSERT_TRUE(pipeline.value()->Insert(extras[6]).ok());
+  ASSERT_TRUE(pipeline.value()->Insert(extras[7]).ok());
+  ASSERT_TRUE(pipeline.value()->Close().ok());
 
   auto reopened = LoadTreeFromFile(path, LoadOptions(), &info);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(info.wal_records_replayed, 7u);
   EXPECT_FALSE(info.wal_recovered_corruption);
-  ExpectTreesIdentical(reopened.value(), tree);
+  ExpectTreesIdentical(reopened.value(), *pipeline.value()->tree_handle());
 }
 
 TEST(WalTest, SyncPoliciesAllRecoverOnAHealthyDisk) {

@@ -32,10 +32,8 @@
 #include <fstream>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/baselines/dictionary_attack.h"
@@ -855,224 +853,130 @@ void PrintLaneStatusLines(const IngestPipelineStats& stats) {
   }
 }
 
-/// Concurrent ingest through the IngestPipeline: `threads` writers share
-/// fsyncs via leader–follower group commit, so `--sync every` keeps its
-/// per-record durability guarantee at a fraction of the fsync count. Used
-/// by `bsr insert --threads T` (T > 1).
-Status RunPipelineInsert(IngestPipeline* pipeline,
-                         const std::vector<uint64_t>& ids, uint64_t threads) {
-  std::mutex mu;
-  Status first;
-  std::vector<std::thread> writers;
-  for (uint64_t t = 0; t < threads; ++t) {
-    writers.emplace_back([&, t] {
-      for (size_t i = t; i < ids.size(); i += threads) {
-        const Status st = pipeline->Insert(ids[i]);
-        if (!st.ok()) {
-          std::lock_guard<std::mutex> lock(mu);
-          if (first.ok()) first = st;
-          return;
-        }
-      }
-    });
+/// What one `bsr insert` / `bsr remove` did: occupied ids before and
+/// after, and the pipeline's counters before its closing fence.
+struct MutationReport {
+  std::string path;
+  size_t ids = 0;
+  WalSyncPolicy policy = WalSyncPolicy::kEveryRecord;
+  uint64_t before = 0;
+  uint64_t after = 0;
+  IngestPipelineStats stats;
+  double ms = 0;
+};
+
+uint64_t OccupiedCount(const IngestPipeline& pipeline) {
+  uint64_t count = 0;
+  for (uint32_t lane = 0; lane < pipeline.lane_count(); ++lane) {
+    count += pipeline.AcquireRead(lane).tree().occupied().size();
   }
-  for (auto& w : writers) w.join();
-  return first;
+  return count;
 }
 
-Status CmdInsert(const Flags& flags) {
+/// Commits the --ids file as `op` mutations of the --tree tree or forest
+/// through an IngestPipeline, the one durable write path. The snapshot
+/// image is left untouched: each mutation is acknowledged once its record
+/// is in the sidecar log (per --sync policy), and the next open replays
+/// the log; `bsr compact` folds it back in. ReadIdFile sorts the ids and
+/// shards own contiguous ranges, so the ids arrive grouped by lane and
+/// the one ApplyBatch is one commit group per lane (one fsync per lane
+/// under --sync every), each shard's log in file order. Close() fences
+/// every log, so --sync interval|none are durable on success too.
+Status MutateThroughPipeline(const Flags& flags, WalOp op,
+                             MutationReport* report) {
   auto tree_path = flags.Require("tree");
   if (!tree_path.ok()) return tree_path.status();
   auto ids_path = flags.Require("ids");
   if (!ids_path.ok()) return ids_path.status();
   auto wal_options = ParseWalFlags(flags);
   if (!wal_options.ok()) return wal_options.status();
-  auto threads = flags.GetU64("threads", 1);
-  if (!threads.ok()) return threads.status();
-  if (threads.value() == 0) {
-    threads = static_cast<uint64_t>(std::thread::hardware_concurrency());
-  }
   auto ids = ReadIdFile(ids_path.value());
   if (!ids.ok()) return ids.status();
+  const std::string& path = tree_path.value();
+  report->path = path;
+  report->ids = ids.value().size();
+  report->policy = wal_options.value().policy;
 
-  // The snapshot image is left untouched: every insert is acknowledged
-  // only once its record is in the sidecar log (per --sync policy), and
-  // the next open replays the log. `bsr compact` folds the log back in.
   Timer timer;
-  uint64_t before = 0;
-  uint64_t after = 0;
-  if (threads.value() > 1) {
-    // Concurrent path: writer threads share fsyncs through group commit.
-    IngestPipelineOptions options;
-    options.wal = wal_options.value();
-    IngestPipelineStats stats;
-    if (IsForestManifest(tree_path.value())) {
-      ForestLoadInfo info;
-      auto forest = LoadForestForCli(flags, tree_path.value(), &info);
-      if (!forest.ok()) return forest.status();
-      auto pipeline = IngestPipeline::OpenForest(&forest.value(),
-                                                 tree_path.value(), options,
-                                                 &info);
-      if (!pipeline.ok()) return pipeline.status();
-      before = forest.value().occupied_count();
-      const Status ran = RunPipelineInsert(pipeline.value().get(),
-                                           ids.value(), threads.value());
-      stats = pipeline.value()->Stats();
-      PrintLaneStatusLines(stats);
-      const Status closed = pipeline.value()->Close();
-      if (!ran.ok()) return ran;
-      if (!closed.ok()) return closed;
-      after = forest.value().occupied_count();
-    } else {
-      TreeLoadInfo info;
-      auto loaded = LoadTreeForCli(flags, tree_path.value(), &info);
-      if (!loaded.ok()) return loaded.status();
-      auto tree =
-          std::make_shared<BloomSampleTree>(std::move(loaded).value());
-      before = tree->occupied().size();
-      auto pipeline = IngestPipeline::OpenTree(
-          tree, tree_path.value(), options, info.wal_records_replayed + 1);
-      if (!pipeline.ok()) return pipeline.status();
-      const Status ran = RunPipelineInsert(pipeline.value().get(),
-                                           ids.value(), threads.value());
-      stats = pipeline.value()->Stats();
-      PrintLaneStatusLines(stats);
-      const Status closed = pipeline.value()->Close();
-      if (!ran.ok()) return ran;
-      if (!closed.ok()) return closed;
-      after = pipeline.value()->tree_handle()->occupied().size();
-    }
-    std::printf(
-        "ingested %zu ids (%llu new, %llu already present) in %.2f ms via "
-        "%llu writers (sync=%s, %llu commit groups, %llu fsyncs) -> %s\n",
-        ids.value().size(), static_cast<unsigned long long>(after - before),
-        static_cast<unsigned long long>(ids.value().size() -
-                                        (after - before)),
-        timer.ElapsedMillis(),
-        static_cast<unsigned long long>(threads.value()),
-        WalSyncPolicyName(wal_options.value().policy),
-        static_cast<unsigned long long>(stats.commit_groups),
-        static_cast<unsigned long long>(stats.fsyncs),
-        tree_path.value().c_str());
-    return Status::OK();
-  }
-  if (IsForestManifest(tree_path.value())) {
+  IngestPipelineOptions options;
+  options.wal = wal_options.value();
+  // Declared before the pipeline, which borrows its shards: destroyed
+  // after it.
+  std::optional<BloomSampleForest> forest;
+  std::unique_ptr<IngestPipeline> pipeline;
+  if (IsForestManifest(path)) {
     ForestLoadInfo info;
-    auto forest = LoadForestForCli(flags, tree_path.value(), &info);
-    if (!forest.ok()) return forest.status();
-    const Status attached = AttachForestWals(&forest.value(), tree_path.value(),
-                                             wal_options.value(), &info);
-    if (!attached.ok()) return attached;
-    before = forest.value().occupied_count();
-    for (uint64_t id : ids.value()) {
-      const Status inserted = forest.value().Insert(id);
-      if (!inserted.ok()) return inserted;
-    }
-    after = forest.value().occupied_count();
-    // kInterval/kNone buffer in the page cache; one final fsync per shard
-    // makes the whole batch durable before the command reports success.
-    for (uint32_t s = 0; s < forest.value().shard_count(); ++s) {
-      BloomSampleTree* shard = forest.value().mutable_shard(s);
-      if (shard->wal() != nullptr) {
-        const Status synced = shard->wal()->Sync();
-        if (!synced.ok()) return synced;
-      }
-    }
+    auto loaded = LoadForestForCli(flags, path, &info);
+    if (!loaded.ok()) return loaded.status();
+    forest.emplace(std::move(loaded).value());
+    auto opened = IngestPipeline::OpenForest(&*forest, path, options, &info);
+    if (!opened.ok()) return opened.status();
+    pipeline = std::move(opened).value();
   } else {
     TreeLoadInfo info;
-    auto tree = LoadTreeForCli(flags, tree_path.value(), &info);
-    if (!tree.ok()) return tree.status();
-    const Status attached = AttachTreeWal(&tree.value(), tree_path.value(),
-                                          wal_options.value(), &info);
-    if (!attached.ok()) return attached;
-    before = tree.value().occupied().size();
-    for (uint64_t id : ids.value()) {
-      const Status inserted = tree.value().Insert(id);
-      if (!inserted.ok()) return inserted;
-    }
-    after = tree.value().occupied().size();
-    const Status synced = tree.value().wal()->Sync();
-    if (!synced.ok()) return synced;
+    auto loaded = LoadTreeForCli(flags, path, &info);
+    if (!loaded.ok()) return loaded.status();
+    auto opened = IngestPipeline::OpenTree(
+        std::make_shared<BloomSampleTree>(std::move(loaded).value()), path,
+        options, info.wal_records_replayed + 1);
+    if (!opened.ok()) return opened.status();
+    pipeline = std::move(opened).value();
   }
+  if (op == WalOp::kRemove) {
+    // Plain Bloom filters cannot unset bits, so removes need the counting-
+    // bloom leaf backend. Snapshots do not persist it; enabling it here
+    // rebuilds exact per-leaf counters from the occupied set, and replay
+    // auto-enables it again when it meets the first kRemove record.
+    const Status counting = pipeline->EnableCountingLeaves();
+    if (!counting.ok()) return counting;
+  }
+  std::vector<WalMutation> muts(ids.value().size());
+  for (size_t i = 0; i < muts.size(); ++i) {
+    muts[i].op = op;
+    muts[i].id = ids.value()[i];
+  }
+  report->before = OccupiedCount(*pipeline);
+  const Status applied = pipeline->ApplyBatch(muts, nullptr);
+  report->stats = pipeline->Stats();
+  PrintLaneStatusLines(report->stats);
+  const Status closed = pipeline->Close();
+  if (!applied.ok()) return applied;
+  if (!closed.ok()) return closed;
+  report->after = OccupiedCount(*pipeline);
+  report->ms = timer.ElapsedMillis();
+  return Status::OK();
+}
+
+Status CmdInsert(const Flags& flags) {
+  MutationReport r;
+  const Status st = MutateThroughPipeline(flags, WalOp::kInsert, &r);
+  if (!st.ok()) return st;
+  const uint64_t added = r.after - r.before;
   std::printf("ingested %zu ids (%llu new, %llu already present) in %.2f ms "
-              "via wal (sync=%s) -> %s\n",
-              ids.value().size(),
-              static_cast<unsigned long long>(after - before),
-              static_cast<unsigned long long>(ids.value().size() -
-                                              (after - before)),
-              timer.ElapsedMillis(),
-              WalSyncPolicyName(wal_options.value().policy),
-              tree_path.value().c_str());
+              "via wal (sync=%s, %llu commit groups, %llu fsyncs) -> %s\n",
+              r.ids, static_cast<unsigned long long>(added),
+              static_cast<unsigned long long>(r.ids - added), r.ms,
+              WalSyncPolicyName(r.policy),
+              static_cast<unsigned long long>(r.stats.commit_groups),
+              static_cast<unsigned long long>(r.stats.fsyncs),
+              r.path.c_str());
   return Status::OK();
 }
 
 Status CmdRemove(const Flags& flags) {
-  auto tree_path = flags.Require("tree");
-  if (!tree_path.ok()) return tree_path.status();
-  auto ids_path = flags.Require("ids");
-  if (!ids_path.ok()) return ids_path.status();
-  auto wal_options = ParseWalFlags(flags);
-  if (!wal_options.ok()) return wal_options.status();
-  auto ids = ReadIdFile(ids_path.value());
-  if (!ids.ok()) return ids.status();
-
-  // Plain Bloom filters cannot unset bits, so removes need the counting-
-  // bloom leaf backend. Snapshots do not persist it; enabling it here
-  // rebuilds exact per-leaf counters from the occupied set, and replay
-  // auto-enables it again when it meets the first kRemove record.
-  Timer timer;
-  uint64_t before = 0;
-  uint64_t after = 0;
-  if (IsForestManifest(tree_path.value())) {
-    ForestLoadInfo info;
-    auto forest = LoadForestForCli(flags, tree_path.value(), &info);
-    if (!forest.ok()) return forest.status();
-    const Status attached = AttachForestWals(&forest.value(),
-                                             tree_path.value(),
-                                             wal_options.value(), &info);
-    if (!attached.ok()) return attached;
-    const Status counting = forest.value().EnableCountingLeaves();
-    if (!counting.ok()) return counting;
-    before = forest.value().occupied_count();
-    for (uint64_t id : ids.value()) {
-      const Status removed = forest.value().Remove(id);
-      if (!removed.ok()) return removed;
-    }
-    after = forest.value().occupied_count();
-    for (uint32_t s = 0; s < forest.value().shard_count(); ++s) {
-      BloomSampleTree* shard = forest.value().mutable_shard(s);
-      if (shard->wal() != nullptr) {
-        const Status synced = shard->wal()->Sync();
-        if (!synced.ok()) return synced;
-      }
-    }
-  } else {
-    TreeLoadInfo info;
-    auto tree = LoadTreeForCli(flags, tree_path.value(), &info);
-    if (!tree.ok()) return tree.status();
-    const Status attached = AttachTreeWal(&tree.value(), tree_path.value(),
-                                          wal_options.value(), &info);
-    if (!attached.ok()) return attached;
-    const Status counting = tree.value().EnableCountingLeaves();
-    if (!counting.ok()) return counting;
-    before = tree.value().occupied().size();
-    for (uint64_t id : ids.value()) {
-      const Status removed = tree.value().Remove(id);
-      if (!removed.ok()) return removed;
-    }
-    after = tree.value().occupied().size();
-    const Status synced = tree.value().wal()->Sync();
-    if (!synced.ok()) return synced;
-  }
+  MutationReport r;
+  const Status st = MutateThroughPipeline(flags, WalOp::kRemove, &r);
+  if (!st.ok()) return st;
+  const uint64_t removed = r.before - r.after;
   std::printf("removed %llu of %zu ids (%llu were absent) in %.2f ms via "
-              "wal (sync=%s, counting-bloom leaves) -> %s\n",
-              static_cast<unsigned long long>(before - after),
-              ids.value().size(),
-              static_cast<unsigned long long>(ids.value().size() -
-                                              (before - after)),
-              timer.ElapsedMillis(),
-              WalSyncPolicyName(wal_options.value().policy),
-              tree_path.value().c_str());
+              "wal (sync=%s, counting-bloom leaves, %llu commit groups, "
+              "%llu fsyncs) -> %s\n",
+              static_cast<unsigned long long>(removed), r.ids,
+              static_cast<unsigned long long>(r.ids - removed), r.ms,
+              WalSyncPolicyName(r.policy),
+              static_cast<unsigned long long>(r.stats.commit_groups),
+              static_cast<unsigned long long>(r.stats.fsyncs),
+              r.path.c_str());
   return Status::OK();
 }
 
@@ -1128,16 +1032,15 @@ Status CmdCompact(const Flags& flags) {
   auto tree_path = flags.Require("tree");
   if (!tree_path.ok()) return tree_path.status();
 
+  // The load replays every log, so the in-memory state is image ∪ logs;
+  // compaction rewrites the image from it and then empties the logs.
   Timer timer;
   uint64_t replayed = 0;
   if (IsForestManifest(tree_path.value())) {
     ForestLoadInfo info;
     auto forest = LoadForestForCli(flags, tree_path.value(), &info);
     if (!forest.ok()) return forest.status();
-    const Status attached = AttachForestWals(&forest.value(), tree_path.value(),
-                                             WalOptions(), &info);
-    if (!attached.ok()) return attached;
-    const Status compacted = CompactForest(&forest.value(), tree_path.value());
+    const Status compacted = CompactForest(forest.value(), tree_path.value());
     if (!compacted.ok()) return compacted;
     for (const TreeLoadInfo& shard : info.shards) {
       replayed += shard.wal_records_replayed;
@@ -1146,10 +1049,7 @@ Status CmdCompact(const Flags& flags) {
     TreeLoadInfo info;
     auto tree = LoadTreeForCli(flags, tree_path.value(), &info);
     if (!tree.ok()) return tree.status();
-    const Status attached = AttachTreeWal(&tree.value(), tree_path.value(),
-                                          WalOptions(), &info);
-    if (!attached.ok()) return attached;
-    const Status compacted = CompactTree(&tree.value(), tree_path.value());
+    const Status compacted = CompactTree(tree.value(), tree_path.value());
     if (!compacted.ok()) return compacted;
     replayed = info.wal_records_replayed;
   }
@@ -1369,22 +1269,22 @@ commands:
                                          it is acknowledged)
                [--interval N]           (records per fsync for --sync
                                          interval; default 64)
-               [--threads T]            (T > 1: concurrent writers through
-                                         the ingest pipeline — group
-                                         commit shares fsyncs, so --sync
-                                         every keeps per-record durability
-                                         at a fraction of the fsync count;
-                                         0 = all cores)
-               Appends to the sidecar write-ahead log (T.bst.wal); the
+               Commits the whole id file through the ingest pipeline as
+               one batch: one commit group per lane (one fsync per lane
+               under --sync every), appended to the sidecar write-ahead
+               log (T.bst.wal). Ids already present are not logged. The
                snapshot image is untouched and the next open replays the
-               log. Works on forest manifests (per-shard logs).
+               log. Pruned trees only. Works on forest manifests
+               (per-shard logs).
   remove       --tree T.bst --ids ids.txt
                [--sync every|interval|none] [--interval N]
-               Logs kRemove records and deletes through the counting-bloom
-               leaf backend (enabled on load: exact counters rebuilt from
-               the occupied set; plain Bloom leaves cannot unset bits).
+               Logs kRemove records through the same pipeline path and
+               deletes through the counting-bloom leaf backend (enabled on
+               load: exact counters rebuilt from the occupied set; plain
+               Bloom leaves cannot unset bits). Absent ids are not logged.
   compact      --tree T.bst             (fold the wal into the image
-                                         atomically and empty the log)
+                                         atomically, then truncate the
+                                         log to its header)
   verify       --tree T.bst             (offline integrity walk: metadata
                                          digests, then the slab chunk by
                                          chunk; forest manifests verify
@@ -1419,7 +1319,8 @@ commands:
                  row.meaning);
   }
   std::fprintf(stderr, R"(
-tree-loading flags (info/store-set/sample/reconstruct/query/insert/compact):
+tree-loading flags (info/store-set/sample/reconstruct/query/insert/remove/
+                    compact/serve):
   --mmap      zero-copy mmap the snapshot slab (v2 files; O(ms) open)
   --heap      read the slab onto the heap (portable fallback)
   --prewarm   fault the whole mapping in at open (MAP_POPULATE)
@@ -1471,8 +1372,7 @@ int Main(int argc, char** argv) {
   } else if (command == "query") {
     status = run({"tree", "filter", "id"}, load_flags, CmdQuery);
   } else if (command == "insert") {
-    status = run({"tree", "ids", "sync", "interval", "threads"}, load_flags,
-                 CmdInsert);
+    status = run({"tree", "ids", "sync", "interval"}, load_flags, CmdInsert);
   } else if (command == "remove") {
     status = run({"tree", "ids", "sync", "interval"}, load_flags, CmdRemove);
   } else if (command == "compact") {
